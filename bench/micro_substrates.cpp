@@ -482,106 +482,7 @@ runMatmulSimdBench(bench::BenchJsonWriter &json)
 }
 
 // ---------------------------------------------------------------------
-// Stage-graph module execution: the same delayed-aggregation module
-// scheduled serially vs overlapped (Search ‖ Feature on a worker pool).
-// ---------------------------------------------------------------------
-
-constexpr int kModuleReps = 7;
-
-void
-runModuleOverlapBench(bench::BenchJsonWriter &json)
-{
-    constexpr int32_t kPoints = 4096;
-    constexpr int32_t kCentroids = 1024;
-    constexpr int32_t kGroup = 32;
-
-    core::ModuleConfig cfg;
-    cfg.name = "m";
-    cfg.numCentroids = kCentroids;
-    cfg.k = kGroup;
-    cfg.search = core::SearchKind::Knn;
-    cfg.mlpWidths = {64, 64, 128};
-    Rng wrng(29);
-    core::ModuleExecutor ex(cfg, 3, wrng);
-
-    auto cloud = cloudOf(kPoints);
-    core::ModuleState in;
-    in.coords = tensor::Tensor(kPoints, 3);
-    for (int32_t i = 0; i < kPoints; ++i) {
-        in.coords(i, 0) = cloud[i].x;
-        in.coords(i, 1) = cloud[i].y;
-        in.coords(i, 2) = cloud[i].z;
-    }
-    in.features = in.coords;
-
-    ThreadPool pool(4);
-    std::vector<double> overlapFrac;
-    tensor::Tensor serialOut, overlapOut;
-    auto samples = runInterleaved(
-        kModuleReps,
-        {[&] {
-             Rng srng(5);
-             auto r = ex.run(in, core::PipelineKind::Delayed, srng, pool,
-                             core::SchedulePolicy::Sequential);
-             serialOut = std::move(r.out.features);
-         },
-         [&] {
-             Rng srng(5);
-             auto r = ex.run(in, core::PipelineKind::Delayed, srng, pool,
-                             core::SchedulePolicy::Overlapped);
-             overlapFrac.push_back(r.timeline.overlapFraction(
-                 core::StageKind::Search, core::StageKind::Feature));
-             overlapOut = std::move(r.out.features);
-         }});
-    const auto &serial = samples[0];
-    const auto &overlapped = samples[1];
-    // The overlapped lambda also fires during runInterleaved's
-    // discarded warmup pass; drop that cold sample so the recorded
-    // overlap fraction matches the recorded timings.
-    overlapFrac.erase(overlapFrac.begin());
-    MESO_CHECK(serialOut.maxAbsDiff(overlapOut) == 0.0f,
-               "overlapped module execution diverged from serial");
-
-    Table t("Stage-graph module — " + std::to_string(kCentroids) +
-                " centroids x k=" + std::to_string(kGroup) + " over " +
-                std::to_string(kPoints) + " points (delayed pipeline)",
-            {"Schedule", "Median ms", "p90 ms"});
-    t.addRow({"serial", fmt(percentile(serial, 50.0), 3),
-              fmt(percentile(serial, 90.0), 3)});
-    t.addRow({"overlapped (4 workers)",
-              fmt(percentile(overlapped, 50.0), 3),
-              fmt(percentile(overlapped, 90.0), 3)});
-    t.print();
-    std::cout << "median search/feature overlap: "
-              << fmtPct(percentile(overlapFrac, 50.0)) << "\n";
-
-    auto params = [&](const std::string &mode) {
-        return std::vector<std::pair<std::string, std::string>>{
-            {"mode", mode},
-            {"points", std::to_string(kPoints)},
-            {"centroids", std::to_string(kCentroids)},
-            {"k", std::to_string(kGroup)},
-            {"pipeline", "delayed"},
-            {"hw_threads", std::to_string(ThreadPool::defaultThreads())},
-            {"simd_width", simdWidthStr()},
-            {"caveat", "1-hw-thread containers timeslice the pool; "
-                       "overlap gains need real cores"},
-        };
-    };
-    json.add("module_serial", params("serial"), serial);
-    json.add("module_overlapped", params("overlapped_4_workers"),
-             overlapped);
-    json.add("module_overlap_fraction",
-             {{"metric", "fraction_of_min_phase"},
-              {"value", fmt(percentile(overlapFrac, 50.0), 3)},
-              {"hw_threads",
-               std::to_string(ThreadPool::defaultThreads())},
-              {"simd_width", simdWidthStr()}},
-             {});
-}
-
-// ---------------------------------------------------------------------
-// Compile-once plan runtime: per-request stage-graph rebuild vs one
+// Compile-once plan runtime: the per-run reference interpreter vs one
 // compiled engine evaluated over a warm context — the
 // compile/eval split's cost trajectory (plus the one-off compile).
 // ---------------------------------------------------------------------
@@ -611,28 +512,28 @@ runPlanRuntimeBench(bench::BenchJsonWriter &json)
     auto ctx = plan.makeContext();
     plan.execute(cloud, 7, *ctx); // warm the context
 
-    tensor::Tensor graphOut, planOut;
+    tensor::Tensor refOut, planOut;
     auto samples = runInterleaved(
         kPlanReps,
         {[&] {
-             // Today's serving path: rebuild the stage graph, re-infer
-             // shapes, re-select backends, run, harvest.
+             // The reference interpreter: allocate every intermediate,
+             // re-infer shapes, re-select backends, run, harvest.
              auto r = exec.run(cloud, core::PipelineKind::Delayed, 7);
-             graphOut = std::move(r.logits);
+             refOut = std::move(r.logits);
          },
          [&] {
              planOut = plan.execute(cloud, 7, *ctx);
          }});
     const auto &rebuild = samples[0];
     const auto &planExec = samples[1];
-    MESO_CHECK(planOut.maxAbsDiff(graphOut) == 0.0f,
-               "compiled plan diverged from per-run graph path");
+    MESO_CHECK(planOut.maxAbsDiff(refOut) == 0.0f,
+               "compiled plan diverged from the reference interpreter");
 
     double medRebuild = percentile(rebuild, 50.0);
     double medPlan = percentile(planExec, 50.0);
     Table t("Plan runtime — " + cfg.name + " (delayed pipeline)",
             {"Path", "Median ms", "p90 ms"});
-    t.addRow({"graph rebuild per run", fmt(medRebuild, 3),
+    t.addRow({"reference interpreter per run", fmt(medRebuild, 3),
               fmt(percentile(rebuild, 90.0), 3)});
     t.addRow({"plan execute (compiled)", fmt(medPlan, 3),
               fmt(percentile(planExec, 90.0), 3)});
@@ -938,7 +839,6 @@ main(int argc, char **argv)
     bench::BenchJsonWriter json("micro_substrates");
     runMatmulSimdBench(json);
     runAggKernelBench(json);
-    runModuleOverlapBench(json);
     runPlanRuntimeBench(json);
     runPlanOptimizerBench(json);
     runEngineArtifactBench(json);

@@ -6,10 +6,7 @@
  * pushed through a trained network. This example builds a 16-cloud
  * ModelNet-style batch, runs it through PointNet++ (c) under the
  * delayed-aggregation pipeline sequentially and with a worker pool,
- * and compares wall clock, per-cloud latency, and throughput. The run
- * is a stage graph, so the example also prints the measured per-stage
- * timeline of one inference — including the achieved search ‖ feature
- * overlap per module, the paper's Fig. 8 realized in software. It also
+ * and compares wall clock, per-cloud latency, and throughput. It also
  * demonstrates the pluggable search backends: the same batch executes
  * with every registered backend, producing identical predictions.
  *
@@ -17,8 +14,8 @@
  * once into a core::plan::CompiledEngine (AOT shapes, compile-time
  * backend resolution, liveness-planned arena) and reused across the
  * whole batch and across repetitions — the per-request path does zero
- * graph construction and zero shape inference, with predictions
- * bitwise identical to the rebuild-per-run path. Set
+ * shape inference and no per-run allocation, with predictions bitwise
+ * identical to the reference NetworkExecutor path. Set
  * MESORASI_ENGINE_CACHE=<path> to persist the compiled engine as a
  * serialized artifact and reload it on later runs instead of
  * recompiling (loaded engines execute bit-identically).
@@ -31,13 +28,11 @@
 
 #include "run_guarded.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "core/batch_runner.hpp"
 #include "core/networks.hpp"
 #include "core/plan/plan_compiler.hpp"
 #include "core/plan/serialize.hpp"
 #include "geom/datasets.hpp"
-#include "hwsim/soc.hpp"
 #include "neighbor/search_backend.hpp"
 #include "quant/calibrate.hpp"
 
@@ -112,40 +107,7 @@ runDemo(int argc, char **argv)
               << "   prediction agreement: "
               << fmtPct(core::predictionAgreement(seq, par)) << "\n\n";
 
-    // 3. Measured stage timeline of one overlapped inference: per-stage
-    //    wall times and the achieved N ‖ F overlap per module.
-    ThreadPool overlapPool(4);
-    core::RunResult one =
-        exec.run(clouds[0], core::PipelineKind::Delayed, 7, overlapPool,
-                 core::SchedulePolicy::Overlapped);
-    Table s("Measured stage timeline — one cloud, overlapped on 4 "
-            "workers",
-            {"Stage", "Start ms", "End ms", "Dur ms"});
-    for (const auto &st : one.timeline.stages)
-        s.addRow({st.name, fmt(st.startMs, 3), fmt(st.endMs, 3),
-                  fmt(st.durationMs(), 3)});
-    s.print();
-
-    Table o("Per-module search ‖ feature overlap (measured)",
-            {"Module", "Search ms", "Feature ms", "Overlap ms",
-             "Overlap frac"});
-    for (size_t i = 0; i < exec.numModules(); ++i) {
-        const std::string &name = cfg.modules[i].name;
-        hwsim::MeasuredTimeline m =
-            hwsim::summarizeMeasured(one.timeline.group(name));
-        o.addRow({name, fmt(m.phases.searchMs, 3),
-                  fmt(m.phases.featureMs, 3),
-                  fmt(m.searchFeatureOverlapMs, 3),
-                  fmtPct(m.searchFeatureOverlapFraction)});
-    }
-    o.print();
-    hwsim::MeasuredTimeline whole = hwsim::summarizeMeasured(one.timeline);
-    std::cout << "whole network: serialized " << fmt(whole.serializedMs, 2)
-              << " ms vs overlapped wall " << fmt(whole.overlappedMs, 2)
-              << " ms (1-hw-thread containers timeslice the pool; "
-                 "overlap gains need real cores)\n\n";
-
-    // 4. Backend pluggability: identical predictions whichever search
+    // 3. Backend pluggability: identical predictions whichever search
     //    structure answers the N stage.
     Table b("Same batch, per search backend (sequential)",
             {"Backend", "Batch wall ms", "Agreement vs auto"});
@@ -161,7 +123,7 @@ runDemo(int argc, char **argv)
     }
     b.print();
 
-    // 5. Engine-cached serving loop: compile once, evaluate everywhere.
+    // 4. Engine-cached serving loop: compile once, evaluate everywhere.
     //    One CompiledEngine (and one warm ContextPool) serves the whole
     //    batch across repetitions; per-request work is a tight step
     //    walk over preallocated arena memory. With
@@ -190,7 +152,7 @@ runDemo(int argc, char **argv)
 
     Table p("Engine-cached serving — compile once ("
                 + fmt(compileMs, 2) + " ms), reuse across 3 reps",
-            {"Rep", "Rebuild/run wall ms", "Plan wall ms", "Clouds/s",
+            {"Rep", "Executor wall ms", "Plan wall ms", "Clouds/s",
              "Agreement"});
     for (int rep = 0; rep < 3; ++rep) {
         core::BatchResult rebuild =

@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -38,76 +39,6 @@ logSuppressed(const std::exception_ptr &err)
 }
 
 } // namespace
-
-/**
- * Shared task state. A task is *claimed* exactly once — either by the
- * worker that pops it off the queue or by a waiter running it inline —
- * so the body executes exactly once whichever side gets there first.
- */
-struct TaskHandle::State
-{
-    std::mutex mutex;
-    std::condition_variable done;
-    std::function<void()> fn;
-    bool claimed = false;
-    bool finished = false;
-    std::exception_ptr error;
-
-    void
-    runIfUnclaimed()
-    {
-        std::function<void()> task;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (claimed)
-                return;
-            claimed = true;
-            task = std::move(fn);
-        }
-        // Run as a pool task even on the waiter's thread, so nested
-        // parallelFor calls inline exactly as they would on a worker.
-        bool prev = tls_inside_worker;
-        tls_inside_worker = true;
-        std::exception_ptr err;
-        try {
-            task();
-        } catch (...) {
-            err = std::current_exception();
-        }
-        tls_inside_worker = prev;
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            error = err;
-            finished = true;
-        }
-        done.notify_all();
-    }
-};
-
-TaskHandle::TaskHandle(std::shared_ptr<State> state)
-    : state_(std::move(state))
-{
-}
-
-void
-TaskHandle::wait() const
-{
-    MESO_REQUIRE(state_, "waiting on an empty TaskHandle");
-    state_->runIfUnclaimed(); // inline unless a worker got there first
-    std::unique_lock<std::mutex> lock(state_->mutex);
-    state_->done.wait(lock, [&] { return state_->finished; });
-    if (state_->error)
-        std::rethrow_exception(state_->error);
-}
-
-bool
-TaskHandle::finished() const
-{
-    if (!state_)
-        return false;
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->finished;
-}
 
 struct ThreadPool::Impl
 {
@@ -249,32 +180,6 @@ ThreadPool::parallelFor(int64_t n, int64_t grain, const RangeFn &fn) const
         std::rethrow_exception(shared.error);
 }
 
-TaskHandle
-ThreadPool::submit(std::function<void()> fn) const
-{
-    MESO_REQUIRE(fn, "submit needs a callable task");
-    // Injected admission failure: the pool refuses the task before
-    // anything is queued, so the caller sees a synchronous typed error
-    // and no half-registered task can be lost. A handle is never
-    // created, which is why the site lives here and not in the task
-    // wrapper — a throw after the handle is dropped by a
-    // fire-and-forget caller (the stage scheduler) would strand its
-    // completion accounting forever.
-    fault::maybeThrow(fault::kThreadPoolTask, StatusCode::ExecFault);
-    auto state = std::make_shared<TaskHandle::State>();
-    state->fn = std::move(fn);
-    if (!impl_->workers.empty()) {
-        {
-            std::lock_guard<std::mutex> lock(impl_->mutex);
-            impl_->tasks.emplace_back(
-                [state] { state->runIfUnclaimed(); });
-        }
-        impl_->wake.notify_one();
-    }
-    // No workers: the task stays with the handle and runs on wait().
-    return TaskHandle(state);
-}
-
 uint64_t
 ThreadPool::suppressedExceptionCount() const
 {
@@ -291,13 +196,27 @@ ThreadPool::global()
 int32_t
 ThreadPool::defaultThreads()
 {
-    if (const char *env = std::getenv("MESORASI_THREADS")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<int32_t>(v);
-    }
     unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int32_t>(hw) : 1;
+    int32_t fallback = hw > 0 ? static_cast<int32_t>(hw) : 1;
+    const char *env = std::getenv("MESORASI_THREADS");
+    if (!env)
+        return fallback;
+    // The whole string must be one integer in range: strtol alone
+    // would take "4abc" as 4 and let a huge value narrow to int32.
+    constexpr long kMaxEnvThreads = 1024;
+    char *end = nullptr;
+    errno = 0;
+    long v = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && errno == 0 && v >= 1 &&
+        v <= kMaxEnvThreads)
+        return static_cast<int32_t>(v);
+    static std::atomic<bool> warned{false};
+    if (!warned.exchange(true))
+        std::fprintf(stderr,
+                     "[mesorasi] ignoring MESORASI_THREADS='%s' (want an "
+                     "integer in [1, %ld]); using %d threads\n",
+                     env, kMaxEnvThreads, fallback);
+    return fallback;
 }
 
 bool

@@ -22,37 +22,6 @@
 
 namespace mesorasi {
 
-/**
- * Waitable handle to a task submitted with ThreadPool::submit().
- *
- * The handle is safe to wait on from anywhere, including from inside a
- * pool task of the same pool: if the task has not been claimed by a
- * worker yet, wait() runs it inline on the waiting thread instead of
- * blocking on the queue, so waiting can never deadlock. The first
- * exception thrown by the task is rethrown from wait().
- */
-class TaskHandle
-{
-  public:
-    TaskHandle() = default;
-
-    /** Block until the task finished (running it inline if no worker
-     *  claimed it yet); rethrows the task's exception, if any. */
-    void wait() const;
-
-    /** True once the task has finished (without blocking). */
-    bool finished() const;
-
-    /** True when this handle refers to a submitted task. */
-    bool valid() const { return state_ != nullptr; }
-
-  private:
-    friend class ThreadPool;
-    struct State;
-    explicit TaskHandle(std::shared_ptr<State> state);
-    std::shared_ptr<State> state_;
-};
-
 class ThreadPool
 {
   public:
@@ -111,15 +80,6 @@ class ThreadPool
     bool willRunInline(int64_t n, int64_t grain) const;
 
     /**
-     * Enqueue @p fn as an independent task and return a waitable handle.
-     * Unlike parallelFor the caller does not block; the stage-graph
-     * scheduler uses this to keep independent stages in flight at once.
-     * On a pool without workers the task runs lazily on the first
-     * wait(); with workers, a dropped handle still executes eventually.
-     */
-    TaskHandle submit(std::function<void()> fn) const;
-
-    /**
      * Worker exceptions suppressed over this pool's lifetime. When
      * several chunks of one parallelFor throw, only the first
      * exception is rethrown to the caller; every further one is
@@ -131,7 +91,12 @@ class ThreadPool
     /** Process-wide shared pool, sized by defaultThreads(). */
     static ThreadPool &global();
 
-    /** MESORASI_THREADS env override, else hardware concurrency. */
+    /**
+     * MESORASI_THREADS env override, else hardware concurrency. The
+     * override must be a whole integer in [1, 1024]; anything else
+     * (trailing garbage, zero, negative, out of range) falls back to
+     * hardware concurrency with one stderr line.
+     */
     static int32_t defaultThreads();
 
     /** True while the calling thread is executing a pool task (of any

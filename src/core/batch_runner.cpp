@@ -89,6 +89,30 @@ BatchRunner::numThreads() const
     return pool_ ? pool_->size() : ThreadPool::global().size();
 }
 
+void
+BatchRunner::forEachItem(size_t n,
+                         const std::function<void(size_t)> &runItem) const
+{
+    if (sequential_) {
+        // Truly serial reference: inner parallel loops (matmul, table
+        // builders, aggregation) run inline too, so this measures the
+        // one-thread execution the parallel mode is compared against.
+        ThreadPool::ScopedForceInline serial;
+        for (size_t i = 0; i < n; ++i)
+            runItem(i);
+        return;
+    }
+    // Cloud-level parallelism: one item per pool task; inner loops run
+    // inline on workers (the pool's nesting rule), so results stay
+    // bitwise identical to the serial walk of the same seeds.
+    const ThreadPool &pool = pool_ ? *pool_ : ThreadPool::global();
+    pool.parallelFor(static_cast<int64_t>(n), /*grain=*/1,
+                     [&](int64_t lo, int64_t hi) {
+                         for (int64_t i = lo; i < hi; ++i)
+                             runItem(static_cast<size_t>(i));
+                     });
+}
+
 BatchResult
 BatchRunner::run(const std::vector<geom::PointCloud> &clouds,
                  PipelineKind kind, uint64_t seedBase) const
@@ -97,21 +121,12 @@ BatchRunner::run(const std::vector<geom::PointCloud> &clouds,
     out.kind = kind;
     out.items.resize(clouds.size());
 
-    // Ingestion validation up front: a malformed cloud gets a typed
-    // item status and is excluded from execution in every mode, so one
-    // bad request cannot take down the batch.
-    std::vector<bool> accepted(clouds.size(), true);
-    for (size_t i = 0; i < clouds.size(); ++i) {
-        Status s = geom::validatePointCloud(clouds[i]);
-        if (!s.isOk()) {
-            out.items[i].status = std::move(s);
-            accepted[i] = false;
-        }
-    }
-
-    auto runOne = [&](int64_t i) {
+    auto batch0 = std::chrono::steady_clock::now();
+    forEachItem(clouds.size(), [&](size_t i) {
         auto t0 = std::chrono::steady_clock::now();
         BatchItemResult &item = out.items[i];
+        // Per-item isolation: a rejected cloud (NetworkExecutor::run's
+        // front door) or a mid-run fault lands in this item's status.
         try {
             item.run = exec_.run(clouds[i], kind,
                                  seedBase + static_cast<uint64_t>(i));
@@ -120,72 +135,7 @@ BatchRunner::run(const std::vector<geom::PointCloud> &clouds,
             item.status = Status::fromCurrentException();
         }
         item.latencyMs = msSince(t0);
-    };
-
-    auto batch0 = std::chrono::steady_clock::now();
-    if (sequential_) {
-        // Truly serial reference: inner parallel loops (matmul, table
-        // builders, aggregation) run inline too, so this measures the
-        // one-thread execution the parallel modes are compared against.
-        ThreadPool::ScopedForceInline serial;
-        for (int64_t i = 0; i < static_cast<int64_t>(clouds.size()); ++i)
-            if (accepted[i])
-                runOne(i);
-    } else {
-        const ThreadPool &pool = pool_ ? *pool_ : ThreadPool::global();
-        if (pool.size() < 2) {
-            // No workers to overlap on; run the clouds back to back.
-            for (int64_t i = 0; i < static_cast<int64_t>(clouds.size());
-                 ++i)
-                if (accepted[i])
-                    runOne(i);
-        } else {
-            // One combined stage graph over the whole batch: every
-            // cloud's network graph is an independent subgraph, so the
-            // scheduler pipelines clouds across each other instead of
-            // pinning one cloud per task. The isolated schedule keeps
-            // per-item fault containment: a stage exception cancels
-            // only that cloud's downstream stages, lands in that item's
-            // typed status, and every other cloud completes bitwise
-            // identical to a fault-free run — matching the engine
-            // overload's isolation contract.
-            StageGraph g;
-            std::vector<std::pair<size_t, size_t>> ranges(
-                clouds.size(), {0, 0});
-            for (size_t i = 0; i < clouds.size(); ++i) {
-                if (!accepted[i])
-                    continue;
-                size_t first = static_cast<size_t>(g.size());
-                exec_.appendRunStages(
-                    g, clouds[i], kind,
-                    seedBase + static_cast<uint64_t>(i),
-                    &out.items[i].run, "c" + std::to_string(i));
-                ranges[i] = {first, static_cast<size_t>(g.size())};
-            }
-            IsolatedRunResult isolated = StageScheduler::runIsolated(
-                g, pool, SchedulePolicy::Overlapped);
-            for (size_t i = 0; i < clouds.size(); ++i) {
-                if (!accepted[i])
-                    continue;
-                BatchItemResult &item = out.items[i];
-                item.run.timeline = isolated.timeline.slice(
-                    ranges[i].first, ranges[i].second);
-                // A cloud's latency is its time in flight: first stage
-                // start to last stage end within the shared schedule.
-                item.latencyMs = item.run.timeline.wallMs;
-                if (std::exception_ptr err = isolated.firstErrorIn(
-                        ranges[i].first, ranges[i].second)) {
-                    try {
-                        std::rethrow_exception(err);
-                    } catch (...) {
-                        item.status = Status::fromCurrentException();
-                    }
-                    continue;
-                }
-                item.predicted = argmaxFirstRow(item.run.logits);
-            }
-        }
-    }
+    });
     out.wallMs = msSince(batch0);
     summarizeLatencies(out);
     return out;
@@ -203,7 +153,8 @@ BatchRunner::run(const plan::CompiledEngine &engine,
     plan::ContextPool localPool(engine);
     plan::ContextPool &contexts = ctxPool ? *ctxPool : localPool;
 
-    auto runOne = [&](int64_t i) {
+    auto batch0 = std::chrono::steady_clock::now();
+    forEachItem(clouds.size(), [&](size_t i) {
         auto t0 = std::chrono::steady_clock::now();
         BatchItemResult &item = out.items[i];
         // Per-item isolation: every failure (invalid cloud, context
@@ -228,26 +179,7 @@ BatchRunner::run(const plan::CompiledEngine &engine,
         }
         contexts.release(std::move(ctx));
         item.latencyMs = msSince(t0);
-    };
-
-    auto batch0 = std::chrono::steady_clock::now();
-    if (sequential_) {
-        // The truly serial reference, as in the graph path.
-        ThreadPool::ScopedForceInline serial;
-        for (int64_t i = 0; i < static_cast<int64_t>(clouds.size()); ++i)
-            runOne(i);
-    } else {
-        // Cloud-level parallelism: one plan evaluation per pool task,
-        // each on its own context; inner loops run inline on workers
-        // (the pool's nesting rule), so results stay bitwise identical
-        // to the serial walk of the same seeds.
-        const ThreadPool &pool = pool_ ? *pool_ : ThreadPool::global();
-        pool.parallelFor(static_cast<int64_t>(clouds.size()),
-                         /*grain=*/1, [&](int64_t lo, int64_t hi) {
-                             for (int64_t i = lo; i < hi; ++i)
-                                 runOne(i);
-                         });
-    }
+    });
     out.wallMs = msSince(batch0);
     summarizeLatencies(out);
     return out;

@@ -4,18 +4,17 @@
  *
  * The production serving shape for the paper's workloads is a stream of
  * frames (LiDAR sweeps, depth maps) pushed through one trained network.
- * BatchRunner appends every cloud's whole-network stage graph into one
- * StageGraph — the per-cloud seed fixed by batch index — and hands the
- * combined graph to a single StageScheduler, so stages of independent
- * clouds pipeline across each other (and Search ‖ Feature overlaps
- * inside each delayed module). Because every RNG decision is pre-drawn
- * at graph-build time and stages communicate only through declared
- * dependencies, a batched run is bitwise identical to the sequential
- * run of the same seeds, which the test suite asserts.
+ * BatchRunner evaluates every cloud with its seed fixed by batch index —
+ * through the reference NetworkExecutor or a CompiledEngine — either
+ * serially or one cloud per pool task. Both overloads share one
+ * per-item dispatch, and each item catches its own failure into its
+ * Status, so a parallel batch is bitwise identical to the serial run of
+ * the same seeds, which the test suite asserts.
  */
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -39,13 +38,7 @@ struct BatchItemResult
      */
     Status status;
     RunResult run;            ///< full inference result
-    /** Wall-clock of this cloud's inference. In the combined-graph
-     *  parallel mode this is the cloud's *in-flight* time (first stage
-     *  start to last stage end within the shared schedule) — the
-     *  latency a concurrently-served request observes, which includes
-     *  time-sharing with the other clouds and is therefore larger than
-     *  the cloud's pure compute time. */
-    double latencyMs = 0.0;
+    double latencyMs = 0.0;   ///< wall clock of this cloud's inference
     int32_t predicted = -1;   ///< argmax of the first logits row
 };
 
@@ -111,14 +104,10 @@ class BatchRunner
      * @p seedBase + i, so results are independent of scheduling and of
      * the thread count.
      *
-     * Failure isolation: clouds rejected by ingestion validation get a
-     * non-ok item status up front; a cloud whose execution throws gets
-     * a typed item status in every mode — the serial modes catch per
-     * cloud, and the combined-stage-graph parallel mode runs a
-     * fault-isolating schedule (StageScheduler::runIsolated) where a
-     * stage exception cancels only that cloud's downstream stages and
-     * is routed into that item's status. The rest of the batch
-     * completes bitwise identical to a fault-free run.
+     * Failure isolation: a cloud rejected by NetworkExecutor::run's
+     * front door (InvalidInput / ShapeMismatch) or one whose execution
+     * throws gets a typed item status; the rest of the batch completes
+     * bitwise identical to a fault-free run.
      */
     BatchResult run(const std::vector<geom::PointCloud> &clouds,
                     PipelineKind kind, uint64_t seedBase = 1) const;
@@ -126,13 +115,13 @@ class BatchRunner
     /**
      * Engine-cached serving loop: evaluate every cloud through one
      * CompiledEngine (cloud i with seed @p seedBase + i, the same seeds
-     * as the graph path, so predictions and logits match it bitwise).
+     * as the executor path, so predictions and logits match it bitwise).
      * The hot path does zero graph construction and zero shape
      * inference; evaluation contexts come from @p ctxPool when provided
      * — pass a pool owned by the caller to keep contexts warm across
      * batches and reps — else from a call-local pool. Items carry
      * logits and predictions only: the serving path skips
-     * trace/NIT/timeline capture. The engine may come from
+     * trace/NIT capture. The engine may come from
      * PlanCompiler::compile or from a loaded artifact
      * (core/plan/serialize.hpp) — both execute identically.
      *
@@ -151,6 +140,12 @@ class BatchRunner
     int32_t numThreads() const;
 
   private:
+    /** Run @p runItem(i) for every i in [0, n): serially under
+     *  ScopedForceInline, or one item per pool task. @p runItem must
+     *  catch its own failures. */
+    void forEachItem(size_t n,
+                     const std::function<void(size_t)> &runItem) const;
+
     const NetworkExecutor &exec_;
     std::unique_ptr<ThreadPool> pool_; ///< null: use the global pool
     bool sequential_ = false;

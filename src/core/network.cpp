@@ -188,244 +188,123 @@ NetworkExecutor::NetworkExecutor(NetworkConfig cfg, uint64_t weightSeed,
     }
 }
 
-namespace {
-
-/** Per-run state carried between a network graph's stages. */
-struct NetRunCtx
-{
-    const geom::PointCloud *cloud = nullptr;
-    std::vector<ModuleState> moduleIn;  ///< per encoder module
-    std::vector<ModuleResult> moduleRes;
-    std::vector<ModuleState> levels;    ///< encoder resolution levels
-    std::vector<Tensor> linked;         ///< LDGCNN link chain
-    std::vector<Tensor> moduleOutputs;  ///< DGCNN concat-head inputs
-    ModuleState s2in;                   ///< detection stage-2 input
-    std::vector<ModuleResult> stage2Res;
-};
-
-/** Fold module @p j's finished result into the run result and the
- *  level/link bookkeeping — the exact harvest order the sequential
- *  executor always used. */
-void
-harvestModule(const NetworkConfig &cfg, NetRunCtx *c, RunResult *out,
-              size_t j)
-{
-    ModuleResult &r = c->moduleRes[j];
-    r.trace.aggTableIndex = static_cast<int32_t>(out->nits.size());
-    out->trace.modules.push_back(r.trace);
-    out->nits.push_back(r.nit);
-    out->ios.push_back(r.io);
-    if (cfg.linkedInputs) {
-        if (r.out.numPoints() == c->moduleIn[j].numPoints())
-            c->linked.push_back(r.out.features);
-        else
-            c->linked = {r.out.features};
-    }
-    if (cfg.concatModuleOutputs)
-        c->moduleOutputs.push_back(r.out.features);
-    c->levels.push_back(std::move(r.out));
-}
-
-} // namespace
-
-void
-NetworkExecutor::appendRunStages(StageGraph &g,
-                                 const geom::PointCloud &cloud,
-                                 PipelineKind kind, uint64_t runSeed,
-                                 RunResult *out,
-                                 const std::string &groupPrefix) const
-{
-    MESO_REQUIRE(out != nullptr, "appendRunStages needs a result sink");
-    MESO_REQUIRE(static_cast<int32_t>(cloud.size()) ==
-                     cfg_.numInputPoints,
-                 "network '" << cfg_.name << "' expects "
-                             << cfg_.numInputPoints << " points, got "
-                             << cloud.size());
-    auto ctx = std::make_shared<NetRunCtx>();
-    g.keepAlive(ctx);
-    NetRunCtx *c = ctx.get();
-    c->cloud = &cloud;
-    c->moduleIn.resize(modules_.size());
-    c->moduleRes.resize(modules_.size());
-    c->stage2Res.resize(stage2Modules_.size());
-
-    out->trace.network = cfg_.name;
-    out->trace.numInputPoints = cfg_.numInputPoints;
-
-    auto grp = [&](const std::string &name) {
-        return groupPrefix.empty() ? name : groupPrefix + "/" + name;
-    };
-
-    // Pre-draw every sampler decision in module order. Only Sample
-    // consumes RNG, so this is exactly the stream the sequential
-    // executor drew — and afterwards no stage touches the RNG, making
-    // the schedule irrelevant to the results. Downstream point counts
-    // are statically known (each module keeps `centroids(n)` points).
-    Rng srng(runSeed);
-    std::vector<SamplePlan> plans;
-    int32_t n = cfg_.numInputPoints;
-    for (size_t i = 0; i < modules_.size(); ++i) {
-        plans.push_back(modules_[i]->preDrawSample(n, srng));
-        n = cfg_.modules[i].centroids(n);
-    }
-    std::vector<SamplePlan> stage2Plans;
-    for (const auto &m : stage2Modules_)
-        stage2Plans.push_back(
-            m->preDrawSample(cfg_.numInputPoints, srng));
-
-    // Input stage: materialize the cloud as the level-0 state.
-    StageId init = g.add(
-        StageKind::Epilogue, grp("net"), grp("net") + ".input", [c] {
-            ModuleState state;
-            state.coords = cloudToTensor(*c->cloud);
-            state.features = state.coords;
-            c->s2in.coords = state.coords;
-            c->s2in.features = state.coords;
-            c->linked.push_back(state.features);
-            c->levels.push_back(std::move(state));
-        });
-
-    // Encoder chain: glue stage (harvest previous, prepare input),
-    // then the module's own stage subgraph.
-    StageId prevEpi = init;
-    for (size_t i = 0; i < modules_.size(); ++i) {
-        const std::string moduleGroup = grp(cfg_.modules[i].name);
-        StageId glue = g.add(
-            StageKind::Epilogue, moduleGroup, moduleGroup + ".input",
-            [this, c, out, i] {
-                if (i > 0)
-                    harvestModule(cfg_, c, out, i - 1);
-                ModuleState in = c->levels.back();
-                if (cfg_.linkedInputs) {
-                    Tensor x = c->linked[0];
-                    for (size_t j = 1; j < c->linked.size(); ++j)
-                        x = tensor::concatCols(x, c->linked[j]);
-                    in.features = std::move(x);
-                }
-                c->moduleIn[i] = std::move(in);
-            },
-            {prevEpi});
-        prevEpi = modules_[i]->appendStages(
-            g, moduleGroup, &c->moduleIn[i], kind, std::move(plans[i]),
-            &c->moduleRes[i], glue);
-    }
-
-    // Detection stage-2 branches consume the raw input, so they are
-    // independent subgraphs — the scheduler pipelines them across the
-    // whole encoder chain.
-    std::vector<StageId> stage2Epis;
-    for (size_t i = 0; i < stage2Modules_.size(); ++i) {
-        const std::string sgroup = grp(cfg_.stage2Modules[i].name);
-        stage2Epis.push_back(stage2Modules_[i]->appendStages(
-            g, sgroup, &c->s2in, kind, std::move(stage2Plans[i]),
-            &c->stage2Res[i], init));
-    }
-
-    // Head: harvest the last module, run the configured head (concat /
-    // interpolation decoder / plain FC), then fold in stage 2.
-    std::vector<StageId> headDeps{prevEpi};
-    for (StageId id : stage2Epis)
-        headDeps.push_back(id);
-    g.add(
-        StageKind::Epilogue, grp("head"), grp("head"),
-        [this, c, out] {
-            harvestModule(cfg_, c, out, modules_.size() - 1);
-
-            ModuleTrace head_trace;
-            head_trace.name = "head";
-
-            if (cfg_.concatModuleOutputs) {
-                Tensor x = c->moduleOutputs[0];
-                for (size_t j = 1; j < c->moduleOutputs.size(); ++j)
-                    x = tensor::concatCols(x, c->moduleOutputs[j]);
-                head_trace.ops.push_back(
-                    makeConcatOp(x.rows(), x.cols(), "head.concat"));
-                Tensor gl = globalMlp_->forward(x);
-                emitMlpTrace(head_trace, *globalMlp_, gl.rows(),
-                             "head.global", false);
-                Tensor pooled = tensor::maxReduceRows(gl);
-                head_trace.ops.push_back(
-                    makeReduceOp(1, gl.rows(), gl.cols(), "head.pool"));
-
-                if (cfg_.task == Task::Classification) {
-                    out->logits = head_->forward(pooled);
-                    emitMlpTrace(head_trace, *head_, 1, "head", true);
-                } else {
-                    // Broadcast the pooled vector back onto every point.
-                    Tensor broadcast(x.rows(), pooled.cols());
-                    for (int32_t r = 0; r < x.rows(); ++r)
-                        std::copy(pooled.row(0),
-                                  pooled.row(0) + pooled.cols(),
-                                  broadcast.row(r));
-                    Tensor xh = tensor::concatCols(x, broadcast);
-                    head_trace.ops.push_back(makeConcatOp(
-                        xh.rows(), xh.cols(), "head.bcast"));
-                    out->logits = head_->forward(xh);
-                    emitMlpTrace(head_trace, *head_, xh.rows(), "head",
-                                 true);
-                }
-            } else if (!interps_.empty()) {
-                ModuleState cur = c->levels.back();
-                size_t nlev = modules_.size();
-                for (size_t j = 0; j < interps_.size(); ++j) {
-                    ModuleResult r =
-                        interps_[j]->run(c->levels[nlev - 1 - j], cur);
-                    out->trace.modules.push_back(r.trace);
-                    cur = std::move(r.out);
-                }
-                out->logits = head_->forward(cur.features);
-                emitMlpTrace(head_trace, *head_, cur.features.rows(),
-                             "head", true);
-            } else {
-                const Tensor &feat = c->levels.back().features;
-                out->logits = head_->forward(feat);
-                emitMlpTrace(head_trace, *head_, feat.rows(), "head",
-                             true);
-            }
-
-            // --- Detection stage 2 (T-Net + box estimation). ---
-            if (cfg_.task == Task::Detection) {
-                Tensor pooled;
-                for (size_t i = 0; i < c->stage2Res.size(); ++i) {
-                    ModuleResult &r = c->stage2Res[i];
-                    r.trace.aggTableIndex =
-                        static_cast<int32_t>(out->nits.size());
-                    out->trace.modules.push_back(r.trace);
-                    out->nits.push_back(r.nit);
-                    out->ios.push_back(r.io);
-                    pooled = pooled.empty()
-                                 ? r.out.features
-                                 : tensor::concatCols(pooled,
-                                                      r.out.features);
-                }
-                Tensor box = stage2Head_->forward(pooled);
-                emitMlpTrace(head_trace, *stage2Head_, 1, "head.box",
-                             true);
-                out->logits = std::move(box);
-            }
-
-            out->trace.modules.push_back(std::move(head_trace));
-        },
-        headDeps);
-}
-
 RunResult
 NetworkExecutor::run(const geom::PointCloud &cloud, PipelineKind kind,
                      uint64_t runSeed) const
 {
-    return run(cloud, kind, runSeed, ThreadPool::global(),
-               SchedulePolicy::Auto);
-}
-
-RunResult
-NetworkExecutor::run(const geom::PointCloud &cloud, PipelineKind kind,
-                     uint64_t runSeed, const ThreadPool &pool,
-                     SchedulePolicy policy) const
-{
+    {
+        Status s = geom::validateInputCloud(cloud, cfg_.numInputPoints);
+        if (!s.isOk())
+            throw UsageError(s);
+    }
     RunResult out;
-    StageGraph g;
-    appendRunStages(g, cloud, kind, runSeed, &out);
-    out.timeline = StageScheduler::run(g, pool, policy);
+    out.trace.network = cfg_.name;
+    out.trace.numInputPoints = cfg_.numInputPoints;
+
+    ModuleState input;
+    input.coords = cloudToTensor(cloud);
+    input.features = input.coords;
+
+    // Encoder modules in order; each draws its sampler decisions from
+    // srng as it runs.
+    Rng srng(runSeed);
+    std::vector<ModuleState> levels{input};     // encoder resolution levels
+    std::vector<Tensor> linked{input.features}; // LDGCNN link chain
+    std::vector<Tensor> moduleOutputs;          // DGCNN concat-head inputs
+    for (size_t i = 0; i < modules_.size(); ++i) {
+        ModuleState in = levels.back();
+        if (cfg_.linkedInputs) {
+            Tensor x = linked[0];
+            for (size_t j = 1; j < linked.size(); ++j)
+                x = tensor::concatCols(x, linked[j]);
+            in.features = std::move(x);
+        }
+        ModuleResult r = modules_[i]->run(in, kind, srng);
+        r.trace.aggTableIndex = static_cast<int32_t>(out.nits.size());
+        out.trace.modules.push_back(r.trace);
+        out.nits.push_back(r.nit);
+        out.ios.push_back(r.io);
+        if (cfg_.linkedInputs) {
+            if (r.out.numPoints() == in.numPoints())
+                linked.push_back(r.out.features);
+            else
+                linked = {r.out.features};
+        }
+        if (cfg_.concatModuleOutputs)
+            moduleOutputs.push_back(r.out.features);
+        levels.push_back(std::move(r.out));
+    }
+
+    // Head: the configured head (concat / interpolation decoder / plain
+    // FC), then detection stage 2.
+    ModuleTrace head_trace;
+    head_trace.name = "head";
+
+    if (cfg_.concatModuleOutputs) {
+        Tensor x = moduleOutputs[0];
+        for (size_t j = 1; j < moduleOutputs.size(); ++j)
+            x = tensor::concatCols(x, moduleOutputs[j]);
+        head_trace.ops.push_back(
+            makeConcatOp(x.rows(), x.cols(), "head.concat"));
+        Tensor gl = globalMlp_->forward(x);
+        emitMlpTrace(head_trace, *globalMlp_, gl.rows(), "head.global",
+                     false);
+        Tensor pooled = tensor::maxReduceRows(gl);
+        head_trace.ops.push_back(
+            makeReduceOp(1, gl.rows(), gl.cols(), "head.pool"));
+
+        if (cfg_.task == Task::Classification) {
+            out.logits = head_->forward(pooled);
+            emitMlpTrace(head_trace, *head_, 1, "head", true);
+        } else {
+            // Broadcast the pooled vector back onto every point.
+            Tensor broadcast(x.rows(), pooled.cols());
+            for (int32_t r = 0; r < x.rows(); ++r)
+                std::copy(pooled.row(0), pooled.row(0) + pooled.cols(),
+                          broadcast.row(r));
+            Tensor xh = tensor::concatCols(x, broadcast);
+            head_trace.ops.push_back(
+                makeConcatOp(xh.rows(), xh.cols(), "head.bcast"));
+            out.logits = head_->forward(xh);
+            emitMlpTrace(head_trace, *head_, xh.rows(), "head", true);
+        }
+    } else if (!interps_.empty()) {
+        ModuleState cur = levels.back();
+        size_t nlev = modules_.size();
+        for (size_t j = 0; j < interps_.size(); ++j) {
+            ModuleResult r = interps_[j]->run(levels[nlev - 1 - j], cur);
+            out.trace.modules.push_back(r.trace);
+            cur = std::move(r.out);
+        }
+        out.logits = head_->forward(cur.features);
+        emitMlpTrace(head_trace, *head_, cur.features.rows(), "head",
+                     true);
+    } else {
+        const Tensor &feat = levels.back().features;
+        out.logits = head_->forward(feat);
+        emitMlpTrace(head_trace, *head_, feat.rows(), "head", true);
+    }
+
+    // --- Detection stage 2 (T-Net + box estimation). ---
+    // The branches consume the raw input and draw their sampler RNG
+    // after every encoder module, as the compiled engine replays it.
+    if (cfg_.task == Task::Detection) {
+        Tensor pooled;
+        for (const auto &m : stage2Modules_) {
+            ModuleResult r = m->run(input, kind, srng);
+            r.trace.aggTableIndex = static_cast<int32_t>(out.nits.size());
+            out.trace.modules.push_back(r.trace);
+            out.nits.push_back(r.nit);
+            out.ios.push_back(r.io);
+            pooled = pooled.empty()
+                         ? r.out.features
+                         : tensor::concatCols(pooled, r.out.features);
+        }
+        out.logits = stage2Head_->forward(pooled);
+        emitMlpTrace(head_trace, *stage2Head_, 1, "head.box", true);
+    }
+
+    out.trace.modules.push_back(std::move(head_trace));
     return out;
 }
 

@@ -89,46 +89,31 @@ struct RunResult
     NetworkTrace trace;
     std::vector<neighbor::NeighborIndexTable> nits; ///< per N-A-F module
     std::vector<ModuleIo> ios;                      ///< per N-A-F module
-    StageTimeline timeline; ///< measured per-stage wall times
 };
 
-/** Builds shared weights once and executes under any pipeline.
+/**
+ * Builds shared weights once and executes under any pipeline.
  *
- * One inference is a whole-network stage graph: every N-A-F module
- * contributes its stages (chained through glue stages that carry the
- * ModuleState forward), detection stage-2 branches hang off the input
- * as independent subgraphs, and a single StageScheduler walks the
- * whole thing — so Search ‖ Feature overlap inside delayed modules and
- * independent branches genuinely pipeline across each other. */
+ * run() is the reference interpreter: a plain loop over the encoder
+ * modules, then the head (for detection, the stage-2 branches and the
+ * box head after the segmentation head). The compiled engine
+ * (core/plan) is checked against it bit for bit.
+ */
 class NetworkExecutor
 {
   public:
     NetworkExecutor(NetworkConfig cfg, uint64_t weightSeed,
                     nn::Activation act = nn::Activation::Relu);
 
-    /** Run one cloud through the network. @p runSeed drives centroid
-     *  sampling — keep it fixed to compare pipelines on equal footing.
-     *  Uses the global pool under SchedulePolicy::Auto. */
+    /**
+     * Run one cloud through the network. @p runSeed drives centroid
+     * sampling — keep it fixed to compare pipelines on equal footing.
+     * The cloud passes the same front door as CompiledEngine::validate
+     * (geom::validateInputCloud): a malformed cloud throws UsageError
+     * with InvalidInput, a wrong point count with ShapeMismatch.
+     */
     RunResult run(const geom::PointCloud &cloud, PipelineKind kind,
                   uint64_t runSeed = 1) const;
-
-    /** Run with an explicit pool and schedule policy. */
-    RunResult run(const geom::PointCloud &cloud, PipelineKind kind,
-                  uint64_t runSeed, const ThreadPool &pool,
-                  SchedulePolicy policy) const;
-
-    /**
-     * Append one full inference to @p g without executing it: every
-     * sampler-RNG decision is pre-drawn here, so the append order (not
-     * the schedule) fixes the random stream. @p cloud and @p out must
-     * outlive the graph's execution. core::BatchRunner appends many
-     * clouds into one graph — @p groupPrefix keeps their stage groups
-     * distinguishable — and schedules them together.
-     */
-    void appendRunStages(StageGraph &g, const geom::PointCloud &cloud,
-                         PipelineKind kind, uint64_t runSeed,
-                         RunResult *out,
-                         const std::string &groupPrefix = "") const;
 
     /** Operator trace for an arbitrary input size, without executing.
      *  Used for the 130k-point workload characterizations (Fig. 7). */

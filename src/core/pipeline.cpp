@@ -38,38 +38,22 @@ ModuleExecutor::ModuleExecutor(ModuleConfig cfg, int32_t inFeatureDim,
     mlp_ = nn::Mlp(weightRng, dims, act);
 }
 
-SamplePlan
-ModuleExecutor::preDrawSample(int32_t nIn, Rng &samplerRng) const
-{
-    SamplePlan plan;
-    int32_t want = cfg_.centroids(nIn);
-    MESO_REQUIRE(want <= nIn, "module '" << cfg_.name << "': " << want
-                                         << " centroids from " << nIn
-                                         << " points");
-    if (cfg_.search == SearchKind::Global)
-        return plan; // single pseudo-centroid; no draws
-    // SamplingKind::All promises every point becomes a centroid, so a
-    // smaller configured centroid count is a contradiction — reject it
-    // instead of silently falling through to random sampling.
-    MESO_REQUIRE(cfg_.sampling != SamplingKind::All || want == nIn,
-                 "module '" << cfg_.name << "': SamplingKind::All keeps "
-                 "all " << nIn << " points but numCentroids=" << want);
-    if (want == nIn || cfg_.sampling == SamplingKind::FarthestPoint)
-        return plan; // iota / FPS: deterministic, nothing to draw
-    plan.randomPicks = samplerRng.sampleWithoutReplacement(nIn, want);
-    plan.useRandomPicks = true;
-    return plan;
-}
-
 std::vector<int32_t>
-ModuleExecutor::resolveSample(const ModuleState &in,
-                              const SamplePlan &plan) const
+ModuleExecutor::sample(const ModuleState &in, Rng &samplerRng) const
 {
     int32_t n = in.numPoints();
     int32_t want = cfg_.centroids(n);
-    if (cfg_.search == SearchKind::Global) {
+    MESO_REQUIRE(want <= n, "module '" << cfg_.name << "': " << want
+                                       << " centroids from " << n
+                                       << " points");
+    if (cfg_.search == SearchKind::Global)
         return {0}; // single pseudo-centroid; unused by aggregation
-    }
+    // SamplingKind::All promises every point becomes a centroid, so a
+    // smaller configured centroid count is a contradiction — reject it
+    // instead of silently falling through to random sampling.
+    MESO_REQUIRE(cfg_.sampling != SamplingKind::All || want == n,
+                 "module '" << cfg_.name << "': SamplingKind::All keeps "
+                 "all " << n << " points but numCentroids=" << want);
     if (want == n) {
         std::vector<int32_t> all(n);
         for (int32_t i = 0; i < n; ++i)
@@ -83,16 +67,8 @@ ModuleExecutor::resolveSample(const ModuleState &in,
             cloud.add({in.coords(i, 0), in.coords(i, 1), in.coords(i, 2)});
         picked = geom::farthestPointSample(cloud, want);
     } else {
-        // The graph was built against the statically-known point count;
-        // a mismatch here would mean the plan was drawn for another
-        // input shape.
-        MESO_CHECK(plan.useRandomPicks &&
-                       static_cast<int32_t>(plan.randomPicks.size()) ==
-                           want,
-                   "module '" << cfg_.name
-                              << "': sample plan drawn for a different "
-                                 "input shape");
-        picked = plan.randomPicks;
+        // The only sampler-RNG draw of a module execution.
+        picked = samplerRng.sampleWithoutReplacement(n, want);
     }
     // Keep centroids in ascending index order so the input's spatial
     // (scan/Morton) ordering survives downsampling — real gather-based
@@ -209,7 +185,7 @@ ModuleExecutor::analyticTrace(PipelineKind kind, int32_t nIn, int32_t mIn,
         if (cfg_.aggregation == AggregationKind::ConcatCentroidDifference) {
             // The first (only) layer splits into the neighbor path W_d
             // and the centroid path W_c - W_d, both applied per input
-            // point (see appendDelayedStages for the algebra).
+            // point (see runDelayed for the algebra).
             mt.ops.push_back(makeMlpOp(nIn, mIn, cfg_.mlpWidths[0],
                                        cfg_.name + ".pft_d"));
             mt.ops.push_back(makeMlpOp(nIn, mIn, cfg_.mlpWidths[0],
@@ -265,391 +241,212 @@ centroidCoords(const ModuleState &in, const std::vector<int32_t> &idx,
 
 } // namespace
 
-/** Per-run intermediates handed between stages of one module graph. */
-struct ModuleExecutor::RunCtx
-{
-    Tensor pft;     ///< delayed PFT (Nin x Mout) or ltd pft1 (Nin x H1)
-    Tensor p, q;    ///< delayed-concat neighbor / centroid paths
-    Tensor batched; ///< original NFM batch or ltd grouped differences
-};
-
-StageId
-ModuleExecutor::appendOriginalStages(StageGraph &g,
-                                     const std::string &group,
-                                     const ModuleState *in, RunCtx *ctx,
-                                     ModuleResult *res,
-                                     StageId searchStage,
-                                     StageId /*inputReady*/) const
+Tensor
+ModuleExecutor::runOriginal(const ModuleState &in, const Nit &nit) const
 {
     // A gathers (and normalizes) neighbors from the *input* features.
     // Batch all NFMs into one (Nout*K) x In matrix so the shared MLP
     // runs as a single matrix product — exactly how the GPU/NPU sees it.
     // Centroids write disjoint row blocks, so the gather parallelizes.
-    StageId agg = g.add(
-        StageKind::Aggregate, group, group + ".aggregate",
-        [this, in, ctx, res] {
-            int32_t nOut = res->nit.size();
-            int32_t k = cfg_.k;
-            int32_t m = in->featureDim();
-            ctx->batched = Tensor(nOut * k, cfg_.mlpInDim(m));
-            Tensor &batched = ctx->batched;
-            ThreadPool::global().parallelFor(
-                nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
-                    for (int64_t c = b; c < e; ++c) {
-                        const auto &entry =
-                            res->nit[static_cast<int32_t>(c)];
-                        const float *cf =
-                            in->features.row(entry.centroid);
-                        for (int32_t j = 0; j < k; ++j) {
-                            const float *nf =
-                                in->features.row(entry.neighbors[j]);
-                            float *row = batched.row(
-                                static_cast<int32_t>(c) * k + j);
-                            if (cfg_.aggregation ==
-                                AggregationKind::
-                                    ConcatCentroidDifference) {
-                                for (int32_t d = 0; d < m; ++d) {
-                                    row[d] = cf[d];
-                                    row[m + d] = nf[d] - cf[d];
-                                }
-                            } else {
-                                for (int32_t d = 0; d < m; ++d)
-                                    row[d] = nf[d] - cf[d];
-                            }
+    int32_t nOut = nit.size();
+    int32_t k = cfg_.k;
+    int32_t m = in.featureDim();
+    Tensor batched(nOut * k, cfg_.mlpInDim(m));
+    ThreadPool::global().parallelFor(
+        nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
+            for (int64_t c = b; c < e; ++c) {
+                const auto &entry = nit[static_cast<int32_t>(c)];
+                const float *cf = in.features.row(entry.centroid);
+                for (int32_t j = 0; j < k; ++j) {
+                    const float *nf = in.features.row(entry.neighbors[j]);
+                    float *row = batched.row(static_cast<int32_t>(c) * k + j);
+                    if (cfg_.aggregation ==
+                        AggregationKind::ConcatCentroidDifference) {
+                        for (int32_t d = 0; d < m; ++d) {
+                            row[d] = cf[d];
+                            row[m + d] = nf[d] - cf[d];
                         }
+                    } else {
+                        for (int32_t d = 0; d < m; ++d)
+                            row[d] = nf[d] - cf[d];
                     }
-                });
-        },
-        {searchStage});
+                }
+            }
+        });
 
     // F runs on the grouped rows; each group is a contiguous k-row
     // block, so the reduction writes straight into the output row.
-    return g.add(
-        StageKind::Feature, group, group + ".feature",
-        [this, ctx, res] {
-            Tensor feat = mlp_.forward(ctx->batched);
-            int32_t nOut = res->nit.size();
-            int32_t k = cfg_.k;
-            Tensor out(nOut, cfg_.outDim());
-            ThreadPool::global().parallelFor(
-                nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
-                    for (int64_t c = b; c < e; ++c)
-                        tensor::maxReduceRowsInto(
-                            out.row(static_cast<int32_t>(c)), feat,
-                            static_cast<int32_t>(c) * k, k);
-                });
-            res->out.features = std::move(out);
-        },
-        {agg});
+    Tensor feat = mlp_.forward(batched);
+    Tensor out(nOut, cfg_.outDim());
+    ThreadPool::global().parallelFor(
+        nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
+            for (int64_t c = b; c < e; ++c)
+                tensor::maxReduceRowsInto(out.row(static_cast<int32_t>(c)),
+                                          feat, static_cast<int32_t>(c) * k,
+                                          k);
+        });
+    return out;
 }
 
-StageId
-ModuleExecutor::appendDelayedStages(StageGraph &g,
-                                    const std::string &group,
-                                    const ModuleState *in, RunCtx *ctx,
-                                    ModuleResult *res,
-                                    StageId searchStage,
-                                    StageId inputReady) const
+Tensor
+ModuleExecutor::runDelayed(const ModuleState &in, const Nit &nit) const
 {
-    std::vector<StageId> rootDeps;
-    if (inputReady >= 0)
-        rootDeps.push_back(inputReady);
-
-    bool concat =
-        cfg_.aggregation == AggregationKind::ConcatCentroidDifference;
-
-    // The Feature root: the whole point of delayed aggregation is that
-    // the PFT depends only on the raw input — no Search edge — so the
-    // scheduler runs it concurrently with neighbor search (Fig. 8).
-    StageId feature;
-    if (concat) {
+    // F reads only the raw input — never the NIT — which is the whole
+    // point of delayed aggregation: it is independent of neighbor
+    // search (Fig. 8). A gathers from the F output and fuses the
+    // reduction and the centroid term (max-before-subtract).
+    int32_t nOut = nit.size();
+    int32_t mOut = cfg_.outDim();
+    Tensor out(nOut, mOut);
+    if (cfg_.aggregation == AggregationKind::ConcatCentroidDifference) {
         // Single-layer EdgeConv:
         //   out_i = max_j act(x_i W_c + (x_j - x_i) W_d + b)
         // With P_j = x_j W_d and Q_i = x_i (W_c - W_d) + b:
         //   out_i = act(max_j P_j + Q_i)
         // which is exact because act (ReLU) is monotone and commutes
         // with max, and the affine Q_i term is constant within a group.
-        feature = g.add(
-            StageKind::Feature, group, group + ".feature",
-            [this, in, ctx] {
-                const nn::Linear &l0 = mlp_.layer(0);
-                int32_t m = in->featureDim();
-                int32_t h = l0.outDim();
-                Tensor wc(m, h), wd(m, h);
-                for (int32_t r = 0; r < m; ++r)
-                    for (int32_t c = 0; c < h; ++c) {
-                        wc(r, c) = l0.weight()(r, c);
-                        wd(r, c) = l0.weight()(m + r, c);
-                    }
-                ctx->p = tensor::matmul(in->features, wd); // Nin x H
-                Tensor wcd(m, h);
-                for (int32_t r = 0; r < m; ++r)
-                    for (int32_t c = 0; c < h; ++c)
-                        wcd(r, c) = wc(r, c) - wd(r, c);
-                ctx->q = tensor::matmul(in->features, wcd); // Nin x H
-                if (l0.hasBias())
-                    tensor::addBiasInPlace(ctx->q, l0.bias());
-            },
-            rootDeps);
-    } else {
-        // Point Feature Table: the full MLP over raw input points.
-        feature = g.add(
-            StageKind::Feature, group, group + ".feature",
-            [this, in, ctx] {
-                ctx->pft = mlp_.forward(in->features); // Nin x Mout
-            },
-            rootDeps);
-    }
-
-    // A gathers from the PFT (Nin x Mout) and fuses the reduction and
-    // the centroid subtraction (max-before-subtract).
-    return g.add(
-        StageKind::Aggregate, group, group + ".aggregate",
-        [this, ctx, res, concat] {
-            int32_t nOut = res->nit.size();
-            int32_t mOut = cfg_.outDim();
-            Tensor out(nOut, mOut);
-            if (concat) {
-                const nn::Linear &l0 = mlp_.layer(0);
-                int32_t h = l0.outDim();
-                bool isRelu =
-                    l0.activation() == nn::Activation::Relu;
-                const Tensor &p = ctx->p;
-                const Tensor &q = ctx->q;
-                ThreadPool::global().parallelFor(
-                    nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
-                        for (int64_t ci = b; ci < e; ++ci) {
-                            int32_t c = static_cast<int32_t>(ci);
-                            const auto &entry = res->nit[c];
-                            // Fused gather + max straight into the
-                            // output row, then the centroid path and
-                            // activation in place.
-                            float *orow = out.row(c);
-                            tensor::gatherMaxReduceInto(
-                                orow, p, entry.neighbors);
-                            const float *qr = q.row(entry.centroid);
-                            for (int32_t d = 0; d < h; ++d) {
-                                float v = orow[d] + qr[d];
-                                if (isRelu)
-                                    v = std::max(0.0f, v);
-                                orow[d] = v;
-                            }
-                        }
-                    });
-            } else {
-                const Tensor &pft = ctx->pft;
-                ThreadPool::global().parallelFor(
-                    nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
-                        for (int64_t ci = b; ci < e; ++ci) {
-                            int32_t c = static_cast<int32_t>(ci);
-                            const auto &entry = res->nit[c];
-                            // Fused gather + max-before-subtract: exact
-                            // because subtraction of the centroid
-                            // feature distributes over max, and the
-                            // K x Mout group never exists.
-                            float *orow = out.row(c);
-                            tensor::gatherMaxReduceInto(
-                                orow, pft, entry.neighbors);
-                            const float *cf = pft.row(entry.centroid);
-                            for (int32_t d = 0; d < mOut; ++d)
-                                orow[d] -= cf[d];
-                        }
-                    });
+        const nn::Linear &l0 = mlp_.layer(0);
+        int32_t m = in.featureDim();
+        int32_t h = l0.outDim();
+        Tensor wc(m, h), wd(m, h);
+        for (int32_t r = 0; r < m; ++r)
+            for (int32_t c = 0; c < h; ++c) {
+                wc(r, c) = l0.weight()(r, c);
+                wd(r, c) = l0.weight()(m + r, c);
             }
-            res->out.features = std::move(out);
-        },
-        {searchStage, feature});
+        Tensor p = tensor::matmul(in.features, wd); // Nin x H
+        Tensor wcd(m, h);
+        for (int32_t r = 0; r < m; ++r)
+            for (int32_t c = 0; c < h; ++c)
+                wcd(r, c) = wc(r, c) - wd(r, c);
+        Tensor q = tensor::matmul(in.features, wcd); // Nin x H
+        if (l0.hasBias())
+            tensor::addBiasInPlace(q, l0.bias());
+
+        bool isRelu = l0.activation() == nn::Activation::Relu;
+        ThreadPool::global().parallelFor(
+            nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
+                for (int64_t ci = b; ci < e; ++ci) {
+                    int32_t c = static_cast<int32_t>(ci);
+                    const auto &entry = nit[c];
+                    // Fused gather + max straight into the output row,
+                    // then the centroid path and activation in place.
+                    float *orow = out.row(c);
+                    tensor::gatherMaxReduceInto(orow, p, entry.neighbors);
+                    const float *qr = q.row(entry.centroid);
+                    for (int32_t d = 0; d < h; ++d) {
+                        float v = orow[d] + qr[d];
+                        if (isRelu)
+                            v = std::max(0.0f, v);
+                        orow[d] = v;
+                    }
+                }
+            });
+        return out;
+    }
+
+    // Point Feature Table: the full MLP over raw input points.
+    Tensor pft = mlp_.forward(in.features); // Nin x Mout
+    ThreadPool::global().parallelFor(
+        nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
+            for (int64_t ci = b; ci < e; ++ci) {
+                int32_t c = static_cast<int32_t>(ci);
+                const auto &entry = nit[c];
+                // Fused gather + max-before-subtract: exact because
+                // subtraction of the centroid feature distributes over
+                // max, and the K x Mout group never exists.
+                float *orow = out.row(c);
+                tensor::gatherMaxReduceInto(orow, pft, entry.neighbors);
+                const float *cf = pft.row(entry.centroid);
+                for (int32_t d = 0; d < mOut; ++d)
+                    orow[d] -= cf[d];
+            }
+        });
+    return out;
 }
 
-StageId
-ModuleExecutor::appendLtdStages(StageGraph &g, const std::string &group,
-                                const ModuleState *in, RunCtx *ctx,
-                                ModuleResult *res, StageId searchStage,
-                                StageId inputReady) const
+Tensor
+ModuleExecutor::runLtd(const ModuleState &in, const Nit &nit) const
 {
-    std::vector<StageId> rootDeps;
-    if (inputReady >= 0)
-        rootDeps.push_back(inputReady);
-
     // Hoist only the first matrix product (exactly distributive). Like
-    // the full delayed form, pft1 needs no Search edge, so it overlaps
-    // with neighbor search; the remaining layers run after aggregation.
-    StageId feature = g.add(
-        StageKind::Feature, group, group + ".feature",
-        [this, in, ctx] {
-            ctx->pft = mlp_.forwardFirstLinearOnly(in->features);
-        },
-        rootDeps);
+    // the full delayed form, pft1 does not need the NIT; the remaining
+    // layers run on grouped rows after aggregation.
+    Tensor pft1 = mlp_.forwardFirstLinearOnly(in.features); // Nin x H1
+    int32_t nOut = nit.size();
+    int32_t k = cfg_.k;
+    int32_t h1 = pft1.cols();
+    Tensor batched(nOut * k, h1);
+    ThreadPool::global().parallelFor(
+        nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
+            for (int64_t ci = b; ci < e; ++ci) {
+                int32_t c = static_cast<int32_t>(ci);
+                const auto &entry = nit[c];
+                const float *cf = pft1.row(entry.centroid);
+                for (int32_t j = 0; j < k; ++j) {
+                    const float *nf = pft1.row(entry.neighbors[j]);
+                    float *row = batched.row(c * k + j);
+                    for (int32_t d = 0; d < h1; ++d)
+                        row[d] = nf[d] - cf[d];
+                }
+            }
+        });
 
-    StageId agg = g.add(
-        StageKind::Aggregate, group, group + ".aggregate",
-        [this, ctx, res] {
-            int32_t nOut = res->nit.size();
-            int32_t k = cfg_.k;
-            const Tensor &pft1 = ctx->pft; // Nin x H1
-            int32_t h1 = pft1.cols();
-            ctx->batched = Tensor(nOut * k, h1);
-            Tensor &batched = ctx->batched;
-            ThreadPool::global().parallelFor(
-                nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
-                    for (int64_t ci = b; ci < e; ++ci) {
-                        int32_t c = static_cast<int32_t>(ci);
-                        const auto &entry = res->nit[c];
-                        const float *cf = pft1.row(entry.centroid);
-                        for (int32_t j = 0; j < k; ++j) {
-                            const float *nf =
-                                pft1.row(entry.neighbors[j]);
-                            float *row = batched.row(c * k + j);
-                            for (int32_t d = 0; d < h1; ++d)
-                                row[d] = nf[d] - cf[d];
-                        }
-                    }
-                });
-        },
-        {searchStage, feature});
-
-    // Remaining layers still run on grouped rows; contiguous k-row
-    // blocks reduce straight into the output rows.
-    return g.add(
-        StageKind::Feature, group, group + ".feature.tail",
-        [this, ctx, res] {
-            Tensor feat = mlp_.forwardAfterFirstLinear(ctx->batched);
-            int32_t nOut = res->nit.size();
-            int32_t k = cfg_.k;
-            Tensor out(nOut, cfg_.outDim());
-            ThreadPool::global().parallelFor(
-                nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
-                    for (int64_t ci = b; ci < e; ++ci) {
-                        int32_t c = static_cast<int32_t>(ci);
-                        tensor::maxReduceRowsInto(out.row(c), feat,
-                                                  c * k, k);
-                    }
-                });
-            res->out.features = std::move(out);
-        },
-        {agg});
-}
-
-StageId
-ModuleExecutor::appendStages(StageGraph &g, const std::string &group,
-                             const ModuleState *in, PipelineKind kind,
-                             SamplePlan plan, ModuleResult *res,
-                             StageId inputReady) const
-{
-    auto ctx = std::make_shared<RunCtx>();
-    g.keepAlive(ctx);
-    RunCtx *c = ctx.get();
-
-    // For a single-layer concat module the limited hoisting covers the
-    // whole MLP, so Ltd coincides with the full delayed form. Resolving
-    // the delegation at graph-build time keeps sampling and search from
-    // appearing twice (the sampler RNG was pre-drawn exactly once).
-    PipelineKind effective = kind;
-    if (kind == PipelineKind::LtdDelayed &&
-        cfg_.aggregation == AggregationKind::ConcatCentroidDifference)
-        effective = PipelineKind::Delayed;
-
-    std::vector<StageId> rootDeps;
-    if (inputReady >= 0)
-        rootDeps.push_back(inputReady);
-
-    // Sample: validate the (now materialized) input, resolve the
-    // pre-drawn plan, and fill the analytic io/trace summaries.
-    StageId sample = g.add(
-        StageKind::Sample, group, group + ".sample",
-        [this, in, res, plan = std::move(plan), effective] {
-            MESO_REQUIRE(in->featureDim() == inFeatureDim_,
-                         "module '" << cfg_.name << "' expects dim "
-                                    << inFeatureDim_ << ", got "
-                                    << in->featureDim());
-            res->centroidIdx = resolveSample(*in, plan);
-            res->io = analyticIo(in->numPoints(), in->featureDim());
-            res->trace = analyticTrace(effective, in->numPoints(),
-                                       in->featureDim());
-        },
-        rootDeps);
-
-    // The Search stage is structurally identical across pipelines —
-    // what differs is only who depends on it. For Global modules it
-    // builds the trivial one-entry NIT (every point in one group) the
-    // AU simulator consumes.
-    StageId searchStage = g.add(
-        StageKind::Search, group, group + ".search",
-        [this, in, res] { res->nit = search(*in, res->centroidIdx); },
-        {sample});
-
-    if (cfg_.search == SearchKind::Global) {
-        // Global modules have no real neighbor search or aggregation
-        // under any pipeline: MLP over all points, then one reduction.
-        StageId feature = g.add(
-            StageKind::Feature, group, group + ".feature",
-            [this, in, res] {
-                Tensor feat = mlp_.forward(in->features);
-                res->out.features = tensor::maxReduceRows(feat);
-            },
-            rootDeps);
-        return g.add(
-            StageKind::Epilogue, group, group + ".epilogue",
-            [in, res] {
-                res->out.coords =
-                    centroidCoords(*in, res->centroidIdx, true);
-            },
-            {sample, searchStage, feature});
-    }
-
-    StageId last = -1;
-    switch (effective) {
-      case PipelineKind::Original:
-        last = appendOriginalStages(g, group, in, c, res, searchStage,
-                                    inputReady);
-        break;
-      case PipelineKind::Delayed:
-        last = appendDelayedStages(g, group, in, c, res, searchStage,
-                                   inputReady);
-        break;
-      case PipelineKind::LtdDelayed:
-        last = appendLtdStages(g, group, in, c, res, searchStage,
-                               inputReady);
-        break;
-    }
-    MESO_CHECK(last >= 0, "bad pipeline kind");
-
-    return g.add(
-        StageKind::Epilogue, group, group + ".epilogue",
-        [in, res] {
-            res->out.coords =
-                centroidCoords(*in, res->centroidIdx, false);
-        },
-        {sample, last});
-}
-
-StageGraph
-ModuleExecutor::buildGraph(const ModuleState &in, PipelineKind kind,
-                           Rng &samplerRng, ModuleResult *res) const
-{
-    MESO_REQUIRE(res != nullptr, "buildGraph needs a result sink");
-    StageGraph g;
-    SamplePlan plan = preDrawSample(in.numPoints(), samplerRng);
-    appendStages(g, cfg_.name, &in, kind, std::move(plan), res);
-    return g;
+    // Contiguous k-row blocks reduce straight into the output rows.
+    Tensor feat = mlp_.forwardAfterFirstLinear(batched);
+    Tensor out(nOut, cfg_.outDim());
+    ThreadPool::global().parallelFor(
+        nOut, /*grain=*/16, [&](int64_t b, int64_t e) {
+            for (int64_t ci = b; ci < e; ++ci) {
+                int32_t c = static_cast<int32_t>(ci);
+                tensor::maxReduceRowsInto(out.row(c), feat, c * k, k);
+            }
+        });
+    return out;
 }
 
 ModuleResult
 ModuleExecutor::run(const ModuleState &in, PipelineKind kind,
                     Rng &samplerRng) const
 {
-    return run(in, kind, samplerRng, ThreadPool::global(),
-               SchedulePolicy::Auto);
-}
+    MESO_REQUIRE(in.featureDim() == inFeatureDim_,
+                 "module '" << cfg_.name << "' expects dim "
+                            << inFeatureDim_ << ", got "
+                            << in.featureDim());
+    // For a single-layer concat module the limited hoisting covers the
+    // whole MLP, so Ltd coincides with the full delayed form.
+    PipelineKind effective = kind;
+    if (kind == PipelineKind::LtdDelayed &&
+        cfg_.aggregation == AggregationKind::ConcatCentroidDifference)
+        effective = PipelineKind::Delayed;
+    bool global = cfg_.search == SearchKind::Global;
 
-ModuleResult
-ModuleExecutor::run(const ModuleState &in, PipelineKind kind,
-                    Rng &samplerRng, const ThreadPool &pool,
-                    SchedulePolicy policy) const
-{
     ModuleResult res;
-    StageGraph g = buildGraph(in, kind, samplerRng, &res);
-    res.timeline = StageScheduler::run(g, pool, policy);
+    res.centroidIdx = sample(in, samplerRng);
+    res.io = analyticIo(in.numPoints(), in.featureDim());
+    res.trace =
+        analyticTrace(effective, in.numPoints(), in.featureDim());
+    // For Global modules search builds the trivial one-entry NIT
+    // (every point in one group) the AU simulator consumes.
+    res.nit = search(in, res.centroidIdx);
+
+    if (global) {
+        // No real neighbor search or aggregation under any pipeline:
+        // MLP over all points, then one reduction.
+        res.out.features = tensor::maxReduceRows(mlp_.forward(in.features));
+    } else {
+        switch (effective) {
+          case PipelineKind::Original:
+            res.out.features = runOriginal(in, res.nit);
+            break;
+          case PipelineKind::Delayed:
+            res.out.features = runDelayed(in, res.nit);
+            break;
+          case PipelineKind::LtdDelayed:
+            res.out.features = runLtd(in, res.nit);
+            break;
+        }
+    }
+    res.out.coords = centroidCoords(in, res.centroidIdx, global);
     return res;
 }
 

@@ -20,12 +20,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/module.hpp"
-#include "core/scheduler.hpp"
-#include "core/stage_graph.hpp"
 #include "core/trace.hpp"
 #include "neighbor/nit.hpp"
 #include "nn/mlp.hpp"
@@ -76,29 +75,16 @@ struct ModuleResult
     std::vector<int32_t> centroidIdx;
     ModuleTrace trace;
     ModuleIo io;
-    StageTimeline timeline; ///< measured per-stage wall times
-};
-
-/**
- * Every sampler-RNG decision of one module execution, drawn at
- * graph-build time. Pre-drawing makes the stage graph's schedule
- * irrelevant to the results: overlapped execution is bitwise identical
- * to sequential execution because no stage ever touches the RNG.
- */
-struct SamplePlan
-{
-    std::vector<int32_t> randomPicks; ///< pre-drawn random-subset draw
-    bool useRandomPicks = false;
 };
 
 /**
  * Executes one configured module with shared weights under any of the
  * three pipelines, and emits the corresponding operator trace.
  *
- * Execution is a stage graph (see core/stage_graph.hpp): run() builds
- * the pipeline's graph — a chain for Original; Search and Feature as
- * independent roots for Delayed/Ltd — and hands it to StageScheduler,
- * which realizes the paper's N ‖ F overlap when a pool is available.
+ * This is the reference interpreter the compiled engine is checked
+ * against bit for bit: plain sequential code, sample → search →
+ * feature → aggregate → epilogue, with the inner loops on the global
+ * pool.
  */
 class ModuleExecutor
 {
@@ -114,38 +100,10 @@ class ModuleExecutor
 
     /** Execute under the given pipeline. @p samplerRng drives centroid
      *  sampling and must be identically seeded across pipelines when
-     *  outputs are to be compared. Uses the global pool under
-     *  SchedulePolicy::Auto. */
+     *  outputs are to be compared; only random-subset sampling draws
+     *  from it. */
     ModuleResult run(const ModuleState &in, PipelineKind kind,
                      Rng &samplerRng) const;
-
-    /** Execute with an explicit pool and schedule policy. */
-    ModuleResult run(const ModuleState &in, PipelineKind kind,
-                     Rng &samplerRng, const ThreadPool &pool,
-                     SchedulePolicy policy) const;
-
-    /** Draw every sampler-RNG decision for an @p nIn-point input.
-     *  Consumes exactly the draws the execution will need, in the same
-     *  order as sequential execution always has. */
-    SamplePlan preDrawSample(int32_t nIn, Rng &samplerRng) const;
-
-    /**
-     * Append this module's stages to @p g without running them.
-     * @p in and @p res must stay valid until the graph has executed
-     * (use StageGraph::keepAlive for owning contexts); @p in only needs
-     * to hold its data once the root stages run, so a predecessor stage
-     * may fill it. Root stages depend on @p inputReady when >= 0.
-     * Returns the epilogue stage id.
-     */
-    StageId appendStages(StageGraph &g, const std::string &group,
-                         const ModuleState *in, PipelineKind kind,
-                         SamplePlan plan, ModuleResult *res,
-                         StageId inputReady = -1) const;
-
-    /** Build (without executing) the stage graph of one run. @p in and
-     *  @p res must outlive the graph's execution. */
-    StageGraph buildGraph(const ModuleState &in, PipelineKind kind,
-                          Rng &samplerRng, ModuleResult *res) const;
 
     /** Emit the operator trace for arbitrary input sizes without
      *  executing (used for the 130k-point workload characterization).
@@ -165,33 +123,21 @@ class ModuleExecutor
     int32_t outFeatureDim() const { return cfg_.outDim(); }
 
   private:
-    struct RunCtx; // per-run intermediates shared between stages
-
-    /** Resolve the final centroid list from a pre-drawn plan (sorting,
-     *  FPS, iota — everything that needs no RNG). */
-    std::vector<int32_t> resolveSample(const ModuleState &in,
-                                       const SamplePlan &plan) const;
+    /** Centroid list: iota, FPS, or a sorted random subset drawn from
+     *  @p samplerRng (the only draw a module execution makes). */
+    std::vector<int32_t> sample(const ModuleState &in,
+                                Rng &samplerRng) const;
 
     neighbor::NeighborIndexTable
     search(const ModuleState &in,
            const std::vector<int32_t> &centroids) const;
 
-    // Per-pipeline stage construction (the former run* monoliths,
-    // decomposed into stage lambdas over a shared RunCtx). The shared
-    // Sample and Search stages are built by appendStages; each helper
-    // returns its last compute stage.
-    StageId appendOriginalStages(StageGraph &g, const std::string &group,
-                                 const ModuleState *in, RunCtx *ctx,
-                                 ModuleResult *res, StageId searchStage,
-                                 StageId inputReady) const;
-    StageId appendDelayedStages(StageGraph &g, const std::string &group,
-                                const ModuleState *in, RunCtx *ctx,
-                                ModuleResult *res, StageId searchStage,
-                                StageId inputReady) const;
-    StageId appendLtdStages(StageGraph &g, const std::string &group,
-                            const ModuleState *in, RunCtx *ctx,
-                            ModuleResult *res, StageId searchStage,
-                            StageId inputReady) const;
+    // Per-pipeline feature + aggregation of a non-Global module; each
+    // returns the module's output features (nOut x outDim).
+    using Nit = neighbor::NeighborIndexTable;
+    tensor::Tensor runOriginal(const ModuleState &in, const Nit &nit) const;
+    tensor::Tensor runDelayed(const ModuleState &in, const Nit &nit) const;
+    tensor::Tensor runLtd(const ModuleState &in, const Nit &nit) const;
 
     ModuleConfig cfg_;
     int32_t inFeatureDim_;

@@ -15,8 +15,8 @@
  *    planning) trusts them. Virtual resources carry the non-arena
  *    dataflow: the RNG stream chains RngDraw steps in draw order,
  *    centroid lists and NITs link sample/search to their consumers.
- *  - Step order reproduces the stage-graph path exactly — the RNG draws
- *    replay NetworkExecutor::appendRunStages' pre-drawn stream, and
+ *  - Step order reproduces NetworkExecutor::run exactly — the RNG draws
+ *    replay its sampler stream (encoder modules, then stage 2), and
  *    per-element kernel order is identical, so engine logits are
  *    bitwise equal to the per-run reference.
  *  - Fusible pairs (matmul+bias, gather+sub/add, bias+tail-MLP) are
@@ -179,10 +179,11 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
         eng.stage2_.push_back(std::move(info));
     }
 
-    // --- Steps 0..d: replay the pre-draw RNG stream. -----------------
-    // appendRunStages draws every sampler decision in module order
-    // before any stage runs; the engine replays the identical stream
-    // (only Random sampling consumes draws), so logits match bitwise.
+    // --- Steps 0..d: replay the sampler RNG stream. ------------------
+    // NetworkExecutor::run draws sampler decisions in module order
+    // (encoder, then stage 2); the engine front-loads the identical
+    // stream (only Random sampling consumes draws), so logits match
+    // bitwise.
     // One step per draw, chained through kResRng: liveness can drop a
     // dead suffix of the stream (detection drops all draws with the
     // encoder) but never reorder or skip a middle draw.
@@ -240,13 +241,14 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
         int32_t inCoords = level.coords;
         int32_t nIn = level.n;
 
-        // Sample: resolve the centroid list exactly like resolveSample.
+        // Sample: resolve the centroid list exactly like
+        // ModuleExecutor::sample.
         {
             bool fps = mc.sampling == SamplingKind::FarthestPoint;
             bool global = info.global;
             int32_t want = global ? 1 : mc.centroids(nIn);
             // Keeping every point short-circuits before the sampler
-            // strategy (resolveSample's want == n early return), so
+            // strategy (ModuleExecutor::sample's want == n return), so
             // even an FPS module degrades to the iota list there.
             SampleMode mode = SampleMode::Random;
             if (global)
@@ -347,7 +349,7 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
                     // Single-layer EdgeConv, split at compile time:
                     // P = X W_d and Q = X (W_c - W_d) + b, so the
                     // aggregate is act(max_j P_j + Q_i) — the exact
-                    // algebra of appendDelayedStages, with the weight
+                    // algebra of ModuleExecutor::runDelayed, with the weight
                     // split hoisted out of the serving loop.
                     const nn::Linear &l0 = me.mlp().layer(0);
                     int32_t h = l0.outDim();
@@ -635,7 +637,7 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
             }
         }
 
-        // Level / link bookkeeping (mirrors harvestModule).
+        // Level / link bookkeeping (mirrors NetworkExecutor::run).
         if (cfg.linkedInputs) {
             if (nOut == level.n)
                 chainBufs.push_back(outFeat);

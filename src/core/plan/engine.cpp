@@ -153,16 +153,7 @@ CompiledEngine::execute(
 Status
 CompiledEngine::validate(const geom::PointCloud &cloud) const
 {
-    Status s = geom::validatePointCloud(cloud);
-    if (!s.isOk())
-        return s;
-    if (static_cast<int32_t>(cloud.size()) != numInputPoints_) {
-        std::ostringstream os;
-        os << "engine expects " << numInputPoints_ << " points, got "
-           << cloud.size();
-        return Status(StatusCode::ShapeMismatch, os.str());
-    }
-    return Status();
+    return geom::validateInputCloud(cloud, numInputPoints_);
 }
 
 Status

@@ -2,7 +2,7 @@
  * @file
  * CompiledEngine / ExecutionContext: the compile-once serving seam.
  *
- * Every NetworkExecutor::run rebuilds its stage graph, re-infers
+ * Every NetworkExecutor::run re-allocates its intermediates, re-infers
  * shapes, and re-selects search backends per request. The paper's SoC
  * does all of that work once, at configuration time, when it sizes the
  * NIT/PFT buffers for a fixed network (Sec. VI) — and graph compilers
@@ -33,10 +33,9 @@
  * allocate their per-request index; their query paths are
  * allocation-free via the *Into API.
  *
- * Results are bitwise identical to the per-run stage-graph path: the
- * steps run the same kernels in the same accumulation order, sampler
- * RNG draws replay the exact stream NetworkExecutor::appendRunStages
- * pre-draws, and all backends agree bitwise on neighbor results
+ * Results are bitwise identical to NetworkExecutor::run: the steps run
+ * the same kernels in the same accumulation order, sampler RNG draws
+ * replay the exact stream NetworkExecutor::run draws, and all backends agree bitwise on neighbor results
  * (tests/test_plan.cpp asserts parity across 3 pipelines x 3 backends).
  */
 #pragma once
@@ -171,7 +170,7 @@ class CompiledEngine
     /**
      * Evaluate one cloud. @p runSeed drives centroid sampling exactly
      * as NetworkExecutor::run's seed does; identical seeds produce
-     * bitwise-identical logits to the per-run graph path. Returns
+     * bitwise-identical logits to NetworkExecutor::run. Returns
      * @p ctx's logits tensor. Thread-safe across distinct contexts.
      */
     const tensor::Tensor &execute(const geom::PointCloud &cloud,

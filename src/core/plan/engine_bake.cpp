@@ -11,7 +11,7 @@
  * so every kernel honors each operand's leading dimension.
  *
  * Bitwise contract: each case replays the exact kernel calls, loop
- * order, and accumulation order of the stage-graph path (and of the
+ * order, and accumulation order of NetworkExecutor::run (and of the
  * pre-refactor closure emission), asserted by the parity tests across
  * 3 pipelines x 3 backends.
  */
@@ -315,7 +315,7 @@ bakeOne(const OpDesc &d, const CompiledEngine &eng)
                 break;
             }
             // Both drawn paths keep ascending index order (the spatial
-            // ordering contract of resolveSample).
+            // ordering contract of ModuleExecutor::sample).
             std::sort(cent.begin(), cent.end());
         };
       }
@@ -516,7 +516,7 @@ bakeOne(const OpDesc &d, const CompiledEngine &eng)
             const float *feat = ctx.buf(in);
             const float *fine = ctx.buf(in2);
             float *dstBase = ctx.buf(out);
-            // The graph path accumulates into a zero-initialized
+            // The reference path accumulates into a zero-initialized
             // Tensor; the recycled arena is not zeroed, so zero the
             // written region first.
             for (int32_t r = 0; r < nFine; ++r)

@@ -14,7 +14,7 @@
  * opts in via PassOptions::allowNumericsChanging or the environment
  * variable MESORASI_PLAN_NUMERICS_PASSES=1. The default pipeline is
  * entirely numerics-preserving: optimized logits are bitwise equal to
- * the unoptimized plan and to the per-run stage-graph path.
+ * the unoptimized plan and to the per-run NetworkExecutor::run.
  *
  * Kill switch: MESORASI_PLAN_PASSES=0 (or PassOptions::Enable::Off)
  * disables the whole pipeline; the plan then executes exactly the

@@ -26,7 +26,7 @@
  *    rewrites the IR; every intermediate is then assigned a
  *    liveness-aliased arena offset and CompiledEngine::bake lowers the
  *    descriptors to closures, replaying the exact kernels and RNG
- *    stream of the stage-graph path (bitwise-identical logits; see
+ *    stream of NetworkExecutor::run (bitwise-identical logits; see
  *    tests/test_plan.cpp and tests/test_plan_passes.cpp).
  *    (plan_compiler.cpp)
  *

@@ -2,6 +2,23 @@
 
 #include "common/check.hpp"
 
+namespace mesorasi::core {
+
+const char *
+stageKindName(StageKind kind)
+{
+    switch (kind) {
+      case StageKind::Sample: return "sample";
+      case StageKind::Search: return "search";
+      case StageKind::Feature: return "feature";
+      case StageKind::Aggregate: return "aggregate";
+      case StageKind::Epilogue: return "epilogue";
+    }
+    return "?";
+}
+
+} // namespace mesorasi::core
+
 namespace mesorasi::core::plan {
 
 std::string

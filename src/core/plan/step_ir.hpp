@@ -22,7 +22,7 @@
  * does not care about.
  *
  * Bitwise contract: baking a step (fused or not) reproduces the exact
- * per-element operation sequence of the stage-graph path, so any legal
+ * per-element operation sequence of NetworkExecutor::run, so any legal
  * rewrite keeps engine logits byte-identical to the unoptimized engine
  * and to the per-run reference (asserted in tests/test_plan_passes.cpp).
  */
@@ -33,7 +33,23 @@
 #include <vector>
 
 #include "core/plan/arena.hpp"
-#include "core/stage_graph.hpp"
+
+namespace mesorasi::core {
+
+/** The step alphabet; maps onto the paper's N / A / F phase split. */
+enum class StageKind
+{
+    Sample,    ///< centroid selection (RNG draws, FPS, iota)
+    Search,    ///< N: neighbor queries against the search backend
+    Feature,   ///< F: MLP matrix products (PFT, NFM batch, reductions)
+    Aggregate, ///< A: gather / fused gather-reduce of neighbor rows
+    Epilogue,  ///< glue: input assembly, output coords, heads
+};
+
+/** Human-readable stage-kind name. */
+const char *stageKindName(StageKind kind);
+
+} // namespace mesorasi::core
 
 namespace mesorasi::core::plan {
 
@@ -46,8 +62,8 @@ constexpr int32_t kResLogits = -1;
  * resource, chaining the draws in emission order: dead-step
  * elimination can drop a dead *suffix* of the stream (detection plans
  * drop all draws with the encoder), but never a middle draw — removing
- * one would shift every later draw and break bitwise replay of the
- * stage-graph path's pre-drawn stream.
+ * one would shift every later draw and break bitwise replay of
+ * NetworkExecutor::run's draw stream.
  */
 constexpr int32_t kResRng = -2;
 

@@ -146,6 +146,21 @@ validatePointCloud(const PointCloud &cloud)
     return Status();
 }
 
+Status
+validateInputCloud(const PointCloud &cloud, int32_t expectedPoints)
+{
+    Status s = validatePointCloud(cloud);
+    if (!s.isOk())
+        return s;
+    if (static_cast<int64_t>(cloud.size()) != expectedPoints) {
+        std::ostringstream os;
+        os << "expected " << expectedPoints << " points, got "
+           << cloud.size();
+        return Status(StatusCode::ShapeMismatch, os.str());
+    }
+    return Status();
+}
+
 void
 PointCloud::append(const PointCloud &other)
 {

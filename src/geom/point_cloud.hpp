@@ -111,4 +111,11 @@ class PointCloud
  */
 Status validatePointCloud(const PointCloud &cloud);
 
+/**
+ * The inference front door both runtimes share (NetworkExecutor::run
+ * and CompiledEngine::validate): validatePointCloud, then ShapeMismatch
+ * when the cloud does not hold exactly @p expectedPoints points.
+ */
+Status validateInputCloud(const PointCloud &cloud, int32_t expectedPoints);
+
 } // namespace mesorasi::geom

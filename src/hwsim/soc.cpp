@@ -63,23 +63,6 @@ Mapping::withNse() const
     return m;
 }
 
-MeasuredTimeline
-summarizeMeasured(const core::StageTimeline &timeline)
-{
-    MeasuredTimeline m;
-    m.phases.searchMs = timeline.phaseMs(core::Phase::Search);
-    m.phases.featureMs = timeline.phaseMs(core::Phase::Feature);
-    m.phases.aggregationMs = timeline.phaseMs(core::Phase::Aggregation);
-    m.phases.otherMs = timeline.phaseMs(core::Phase::Other);
-    m.serializedMs = timeline.serializedMs();
-    m.overlappedMs = timeline.wallMs;
-    m.searchFeatureOverlapMs = timeline.overlapMs(
-        core::StageKind::Search, core::StageKind::Feature);
-    m.searchFeatureOverlapFraction = timeline.overlapFraction(
-        core::StageKind::Search, core::StageKind::Feature);
-    return m;
-}
-
 Soc::Soc(SocConfig cfg)
     : cfg_(cfg),
       gpu_(cfg.gpu, cfg.dram),

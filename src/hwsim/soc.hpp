@@ -70,27 +70,6 @@ struct PhaseTimes
     }
 };
 
-/**
- * Summary of a *measured* stage timeline (core::StageTimeline) in the
- * same N / A / F phase vocabulary as the analytic model — the software
- * realization of the paper's overlap sits next to the simulated one.
- * `serializedMs` is what the run would have cost with every stage back
- * to back; `overlappedMs` is the measured wall clock the scheduler
- * actually achieved.
- */
-struct MeasuredTimeline
-{
-    PhaseTimes phases;      ///< measured per-phase busy time
-    double serializedMs = 0.0;
-    double overlappedMs = 0.0;
-    double searchFeatureOverlapMs = 0.0; ///< measured N ‖ F overlap
-    double searchFeatureOverlapFraction = 0.0; ///< of min(N, F) time
-};
-
-/** Summarize a measured timeline (one module, one network inference,
- *  or one batch slice) into the phase vocabulary above. */
-MeasuredTimeline summarizeMeasured(const core::StageTimeline &timeline);
-
 /** Simulation output for one network inference on one mapping. */
 struct SocReport
 {

@@ -76,7 +76,7 @@ void gatherMaxReduceInto(float *dst, const Tensor &src,
 // kernels they run need raw (pointer + stride) sources. Each twin
 // shares the Tensor overload's inner kernel (same seed, same
 // accumulation order), so results stay bitwise identical to the
-// stage-graph path the plan replaces.
+// reference interpreter (NetworkExecutor::run).
 
 /** maxReduceRowsInto over a raw row block: column-wise max of numRows
  *  rows of src (stride floats apart), -inf seed, written to

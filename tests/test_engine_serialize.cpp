@@ -3,7 +3,7 @@
  * Engine artifact serialization tests:
  *
  *  1. Round-trip bitwise parity: a saved-then-loaded engine's logits
- *     equal the freshly compiled engine's and the per-run stage-graph
+ *     equal the freshly compiled engine's and the per-run NetworkExecutor
  *     path bit for bit — across 3 pipelines x 3 neighbor backends,
  *     with the optimizer pass pipeline on AND off, and over the
  *     concat-head / interp-decoder / detection network shapes.
@@ -206,7 +206,7 @@ expectBitwise(const Tensor &a, const Tensor &b, const std::string &what)
 }
 
 /** Compile, round-trip through bytes, and assert the loaded engine
- *  matches both the fresh engine and the stage-graph path bitwise. */
+ *  matches both the fresh engine and NetworkExecutor::run bitwise. */
 void
 checkRoundTrip(const NetworkConfig &cfg, PipelineKind kind,
                PassOptions::Enable enable, const std::string &what)

@@ -36,7 +36,6 @@
 #include "common/workspace.hpp"
 #include "core/batch_runner.hpp"
 #include "core/plan/plan_compiler.hpp"
-#include "core/scheduler.hpp"
 #include "core/plan/serialize.hpp"
 #include "geom/datasets.hpp"
 
@@ -177,49 +176,6 @@ TEST(FaultSites, ThreadPoolTaskFaultIsTypedAndPoolSurvives)
             sum.fetch_add(i);
     });
     EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
-
-TEST(FaultSites, SubmitAdmissionFaultIsSynchronousAndTyped)
-{
-    // Admission failure throws to the submitter before any task is
-    // queued: a fire-and-forget caller can never lose a half-registered
-    // task to a fault it cannot observe.
-    ThreadPool pool(2);
-    fault::ScopedArm arm(0, std::string(fault::kThreadPoolTask) + "@1");
-    bool ran = false;
-    try {
-        pool.submit([&] { ran = true; });
-        FAIL() << "injected admission fault did not surface";
-    } catch (const InternalError &e) {
-        EXPECT_EQ(e.code(), StatusCode::ExecFault);
-    }
-    EXPECT_FALSE(ran);
-    // The next submit is admitted and runs.
-    TaskHandle h = pool.submit([&] { ran = true; });
-    h.wait();
-    EXPECT_TRUE(ran);
-}
-
-TEST(FaultSites, SchedulerDegradesInlineWhenPoolRefusesAStage)
-{
-    // When submit() refuses a stage task, the scheduler runs the stage
-    // on the launching thread instead: the schedule completes with
-    // every stage executed — degraded, never deadlocked.
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    core::StageGraph g;
-    core::StageId a = g.add(core::StageKind::Sample, "t", "a",
-                            [&] { ran.fetch_add(1); });
-    g.add(core::StageKind::Search, "t", "b", [&] { ran.fetch_add(1); },
-          {a});
-    g.add(core::StageKind::Epilogue, "t", "c", [&] { ran.fetch_add(1); },
-          {a});
-    fault::ScopedArm arm(0, std::string(fault::kThreadPoolTask) + "@1");
-    core::StageTimeline tl = core::StageScheduler::run(
-        g, pool, core::SchedulePolicy::Overlapped);
-    EXPECT_EQ(ran.load(), 3);
-    EXPECT_EQ(tl.stages.size(), 3u);
-    EXPECT_EQ(fault::firedCount(), 1u);
 }
 
 TEST(FaultSites, ArenaAllocFaultIsResourceExhausted)
@@ -386,6 +342,38 @@ TEST(FaultIsolation, InvalidInputDoesNotPoisonTheContext)
                   "execute after rejected inputs");
 }
 
+TEST(FaultIsolation, ExecutorRejectsMalformedCloudsLikeTheEngine)
+{
+    // NetworkExecutor::run and CompiledEngine::validate share one front
+    // door: a non-finite coordinate is InvalidInput (the executor used
+    // to accept a NaN cloud and return finite logits), a wrong point
+    // count is ShapeMismatch in both runtimes.
+    NetworkExecutor exec(miniNet(), /*weightSeed=*/3);
+    CompiledEngine engine =
+        PlanCompiler::compile(exec, PipelineKind::Delayed, passesOn());
+    PointCloud nanCloud = someClouds(1, 64)[0];
+    nanCloud[3].y = std::numeric_limits<float>::quiet_NaN();
+    PointCloud small = someClouds(1, 32)[0];
+
+    struct Case
+    {
+        const PointCloud *cloud;
+        StatusCode code;
+    };
+    for (const Case &c : {Case{&nanCloud, StatusCode::InvalidInput},
+                          Case{&small, StatusCode::ShapeMismatch}}) {
+        EXPECT_EQ(engine.validate(*c.cloud).code(), c.code);
+        try {
+            exec.run(*c.cloud, PipelineKind::Delayed, 5);
+            ADD_FAILURE() << "executor accepted a cloud the engine "
+                             "rejects with "
+                          << statusCodeName(c.code);
+        } catch (const UsageError &e) {
+            EXPECT_EQ(e.code(), c.code) << e.what();
+        }
+    }
+}
+
 TEST(FaultIsolation, ContextPoolResetsPoisonedContextsOnRelease)
 {
     NetworkExecutor exec(miniNet(), /*weightSeed=*/3);
@@ -476,17 +464,20 @@ TEST(FaultIsolation, MalformedCloudsGetTypedStatusOthersServe)
                       "item " + std::to_string(i));
     }
 
-    // The stage-graph path applies the same front-door validation.
+    // The executor path shares the engine's front door, codes included.
     BatchResult gref = runner.run(clouds, PipelineKind::Delayed, 7);
     BatchResult ggot = runner.run(bad, PipelineKind::Delayed, 7);
+    EXPECT_EQ(ggot.numFailed(), 2);
     EXPECT_EQ(ggot.items[2].status.code(), StatusCode::InvalidInput);
+    EXPECT_EQ(ggot.items[5].status.code(), StatusCode::ShapeMismatch)
+        << ggot.items[5].status.toString();
     for (size_t i = 0; i < clouds.size(); ++i) {
         if (i == 2 || i == 5)
             continue;
         ASSERT_TRUE(ggot.items[i].status.isOk());
         expectBitwise(ggot.items[i].run.logits,
                       gref.items[i].run.logits,
-                      "graph item " + std::to_string(i));
+                      "executor item " + std::to_string(i));
     }
 }
 

@@ -5,7 +5,7 @@
  *  1. Arena planning: overlapping live ranges never share bytes;
  *     disjoint live ranges alias (planned size < naive size).
  *  2. Bitwise parity: a compiled plan executed repeatedly produces
- *     logits bitwise identical to the per-run stage-graph path, across
+ *     logits bitwise identical to NetworkExecutor::run, across
  *     all 3 pipelines x all 3 backends, across reps and seeds, for
  *     plain / concat-head / linked / interp-decoder / detection
  *     network shapes.
@@ -17,10 +17,15 @@
  *     heap allocation (global operator-new hook, force-inline pool).
  *  5. Compile-time backend resolution follows the hwsim cost model.
  *  6. The Workspace debug ownership guard trips on double claims.
+ *  7. Delayed-aggregation dependence structure, read off the compiled
+ *     steps' declared reads/writes: in delayed and ltd modules no
+ *     Feature step depends on Search, Aggregate joins both, the ltd
+ *     tail follows Aggregate, and Original is a chain.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <thread>
 #include <vector>
@@ -252,7 +257,7 @@ expectBitwise(const Tensor &a, const Tensor &b, const std::string &what)
     EXPECT_EQ(a.maxAbsDiff(b), 0.0f) << what;
 }
 
-/** Plan logits vs stage-graph logits, several reps and seeds. */
+/** Plan logits vs NetworkExecutor::run logits, several reps and seeds. */
 void
 checkParity(const NetworkConfig &cfg, PipelineKind kind,
             const std::string &what)
@@ -409,6 +414,162 @@ TEST(CompiledEngine, NoGenericStepsAcrossPipelinesAndShapes)
             }
         }
     }
+}
+
+// --- Delayed-aggregation dependence structure --------------------------
+
+/**
+ * Transitive read-after-write dependencies of a step list: dep[j][i]
+ * is true when step j consumes, directly or through other steps, a
+ * resource step i wrote.
+ */
+std::vector<std::vector<bool>>
+stepDependencies(const std::vector<StepIR> &steps)
+{
+    size_t n = steps.size();
+    std::vector<std::vector<bool>> dep(n, std::vector<bool>(n, false));
+    std::map<int32_t, size_t> lastWriter;
+    for (size_t j = 0; j < n; ++j) {
+        for (int32_t r : steps[j].reads) {
+            auto it = lastWriter.find(r);
+            if (it == lastWriter.end())
+                continue;
+            dep[j][it->second] = true;
+            for (size_t t = 0; t < it->second; ++t)
+                if (dep[it->second][t])
+                    dep[j][t] = true;
+        }
+        for (int32_t w : steps[j].writes)
+            lastWriter[w] = j;
+    }
+    return dep;
+}
+
+/** Step indices of one module, in program order, by stage kind. */
+struct ModuleSteps
+{
+    std::vector<size_t> sample, search, feature, aggregate;
+};
+
+ModuleSteps
+moduleSteps(const std::vector<StepIR> &steps, const std::string &module)
+{
+    ModuleSteps m;
+    const std::string prefix = module + ".";
+    for (size_t i = 0; i < steps.size(); ++i) {
+        if (steps[i].name.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        switch (steps[i].kind) {
+          case StageKind::Sample: m.sample.push_back(i); break;
+          case StageKind::Search: m.search.push_back(i); break;
+          case StageKind::Feature: m.feature.push_back(i); break;
+          case StageKind::Aggregate: m.aggregate.push_back(i); break;
+          case StageKind::Epilogue: break;
+        }
+    }
+    return m;
+}
+
+/** Every compiled variant whose module structure the tests inspect:
+ *  coords-space Ball/Knn modules and feature-space concat EdgeConv,
+ *  with the raw emission (passes off) and the optimized plan. */
+template <class Fn>
+void
+forEachCompiledModule(PipelineKind kind, Fn &&fn)
+{
+    for (const NetworkConfig &cfg : {miniPointNet(), miniEdgeNet()}) {
+        NetworkExecutor exec(cfg, /*weightSeed=*/3);
+        for (auto enable :
+             {PassOptions::Enable::Off, PassOptions::Enable::On}) {
+            CompileOptions opts;
+            opts.passes.enable = enable;
+            CompiledEngine eng = PlanCompiler::compile(exec, kind, opts);
+            auto dep = stepDependencies(eng.steps());
+            for (const ModuleConfig &m : cfg.modules) {
+                if (m.search == SearchKind::Global)
+                    continue;
+                SCOPED_TRACE(cfg.name + "/" + m.name + "/" +
+                             pipelineName(kind) + " passes " +
+                             (enable == PassOptions::Enable::On ? "on"
+                                                                : "off"));
+                ModuleSteps ms = moduleSteps(eng.steps(), m.name);
+                ASSERT_EQ(ms.search.size(), 1u);
+                ASSERT_FALSE(ms.feature.empty());
+                ASSERT_FALSE(ms.aggregate.empty());
+                fn(m, ms, dep);
+            }
+        }
+    }
+}
+
+TEST(StepDependencies, DelayedFeatureIsIndependentOfSearch)
+{
+    for (PipelineKind kind :
+         {PipelineKind::Delayed, PipelineKind::LtdDelayed}) {
+        forEachCompiledModule(kind, [](const ModuleConfig &,
+                                       const ModuleSteps &ms,
+                                       const auto &dep) {
+            size_t search = ms.search[0];
+            size_t firstAgg = ms.aggregate.front();
+            size_t lastAgg = ms.aggregate.back();
+            // Feature steps ahead of aggregation read only the module
+            // input: nothing Search (or Sample) wrote reaches them —
+            // the delayed-aggregation independence claim (Fig. 8).
+            size_t before = 0;
+            for (size_t f : ms.feature) {
+                if (f > firstAgg)
+                    continue;
+                ++before;
+                EXPECT_FALSE(dep[f][search]) << f;
+                for (size_t smp : ms.sample)
+                    EXPECT_FALSE(dep[f][smp]) << f;
+                // Aggregation joins both sides.
+                EXPECT_TRUE(dep[lastAgg][f]) << f;
+            }
+            EXPECT_GT(before, 0u);
+            EXPECT_TRUE(dep[firstAgg][search]);
+        });
+    }
+}
+
+TEST(StepDependencies, LtdTailRunsAfterAggregation)
+{
+    size_t tails = 0;
+    forEachCompiledModule(
+        PipelineKind::LtdDelayed,
+        [&](const ModuleConfig &m, const ModuleSteps &ms,
+            const auto &dep) {
+            if (m.aggregation == AggregationKind::ConcatCentroidDifference)
+                return; // single-layer concat: ltd is the full delayed form
+            size_t firstAgg = ms.aggregate.front();
+            for (size_t f : ms.feature) {
+                if (f < firstAgg)
+                    continue;
+                ++tails;
+                EXPECT_TRUE(dep[f][firstAgg]) << f;
+                EXPECT_TRUE(dep[f][ms.search[0]]) << f;
+            }
+        });
+    EXPECT_GT(tails, 0u);
+}
+
+TEST(StepDependencies, OriginalIsAChain)
+{
+    forEachCompiledModule(PipelineKind::Original, [](const ModuleConfig &,
+                                                     const ModuleSteps &ms,
+                                                     const auto &dep) {
+        // sample → search → aggregate → feature, transitively: the
+        // baseline computes features on the grouped neighbors.
+        size_t search = ms.search[0];
+        size_t agg = ms.aggregate.front();
+        ASSERT_FALSE(ms.sample.empty());
+        EXPECT_TRUE(dep[search][ms.sample.back()]);
+        EXPECT_TRUE(dep[agg][search]);
+        for (size_t f : ms.feature) {
+            EXPECT_GT(f, agg);
+            EXPECT_TRUE(dep[f][agg]) << f;
+        }
+    });
 }
 
 // --- Scheduling / re-entrancy -----------------------------------------

@@ -7,7 +7,7 @@
  *     dropped); a synthetic IR shows the post-DCE re-plan shrinking
  *     offsets while overlapping live ranges still never share bytes.
  *  2. Bitwise parity: logits of an optimized plan equal the
- *     unoptimized plan and the per-run stage-graph path bit for bit,
+ *     unoptimized plan and the per-run NetworkExecutor::run bit for bit,
  *     across 3 pipelines x 3 backends and the concat-head / interp-
  *     decoder / detection network shapes.
  *  3. Epilogue fusion: adjacent aggregate/bias epilogues fold into

@@ -8,8 +8,8 @@
  * identical to a direct CompiledEngine::execute with the same seed —
  * for every combination of the batching knobs, under fault soak, and
  * through shutdown. Also covers the typed queue-full backpressure, the
- * ContextPool capacity bound, and the BatchRunner graph-path per-item
- * fault isolation (the PR 9 gap).
+ * ContextPool capacity bound, and the BatchRunner executor-path
+ * per-item fault isolation.
  */
 #include <gtest/gtest.h>
 
@@ -358,15 +358,15 @@ TEST(ContextPool, CapacityBoundsCheckoutsAndTryAcquireNeverBlocks)
     EXPECT_EQ(unbounded.created(), 3);
 }
 
-// --- Satellite regression: graph-path per-item fault isolation -------
+// --- Executor-path per-item fault isolation ---------------------------
 
 // A backend that throws when the point set starts with the sentinel
 // coordinates below — deterministic per-cloud failure injection for
-// the combined-stage-graph batch path (the backend is built from the
+// the executor batch path (the backend is built from the
 // module's input points, so exactly the poisoned cloud trips it).
 constexpr float kTripX = 0.03125f, kTripY = -0.03125f, kTripZ = 0.65625f;
 
-TEST(BatchRunner, GraphParallelModeIsolatesPerItemFailures)
+TEST(BatchRunner, ExecutorParallelModeIsolatesPerItemFailures)
 {
     neighbor::registerSearchBackend(
         "tripwire",
@@ -404,8 +404,7 @@ TEST(BatchRunner, GraphParallelModeIsolatesPerItemFailures)
         if (i == 2)
             continue;
         // The healthy clouds complete bitwise identical to the
-        // fault-free batch: one cloud's stage failure cancels only its
-        // own downstream stages.
+        // fault-free batch: one cloud's failure stays in its own item.
         EXPECT_TRUE(faulted.items[i].status.isOk()) << "item " << i;
         EXPECT_TRUE(bitwiseEqual(faulted.items[i].run.logits,
                                  healthy.items[i].run.logits))

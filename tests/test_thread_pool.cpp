@@ -1,125 +1,23 @@
 /**
  * @file
- * Unit tests for ThreadPool::submit(): the waitable-task primitive the
- * stage-graph scheduler is built on. The contract under test: every
- * submitted task runs exactly once, wait() is safe from anywhere
- * (including inside a pool task of the same pool), and exceptions
- * propagate to the waiter.
+ * Unit tests for ThreadPool: exception accounting of parallelFor and
+ * the MESORASI_THREADS override parsed by defaultThreads(). The
+ * override tests call defaultThreads() only and never build a pool, so
+ * they start no threads whatever value they feed it.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <thread>
-#include <vector>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
 
 namespace mesorasi {
 namespace {
-
-TEST(Submit, RunsTaskAndWaitReturns)
-{
-    ThreadPool pool(4);
-    std::atomic<int> ran{0};
-    TaskHandle h = pool.submit([&] { ran.fetch_add(1); });
-    ASSERT_TRUE(h.valid());
-    h.wait();
-    EXPECT_EQ(ran.load(), 1);
-    EXPECT_TRUE(h.finished());
-}
-
-TEST(Submit, EveryTaskRunsExactlyOnce)
-{
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(200);
-    for (auto &h : hits)
-        h.store(0);
-    std::vector<TaskHandle> handles;
-    handles.reserve(hits.size());
-    for (size_t i = 0; i < hits.size(); ++i)
-        handles.push_back(
-            pool.submit([&hits, i] { hits[i].fetch_add(1); }));
-    for (auto &h : handles)
-        h.wait();
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Submit, PropagatesException)
-{
-    ThreadPool pool(2);
-    TaskHandle h =
-        pool.submit([] { MESO_REQUIRE(false, "task failed"); });
-    EXPECT_THROW(h.wait(), UsageError);
-    // The handle stays waitable; later waits rethrow the same error.
-    EXPECT_THROW(h.wait(), UsageError);
-    EXPECT_TRUE(h.finished());
-}
-
-TEST(Submit, WaitFromInsidePoolTaskDoesNotDeadlock)
-{
-    // A task that submits a child task and waits on it must not
-    // deadlock even when every worker is busy doing exactly that: the
-    // waiter runs unclaimed children inline.
-    ThreadPool pool(2);
-    std::atomic<int> children{0};
-    std::vector<TaskHandle> parents;
-    for (int i = 0; i < 8; ++i)
-        parents.push_back(pool.submit([&] {
-            TaskHandle child =
-                pool.submit([&] { children.fetch_add(1); });
-            child.wait();
-        }));
-    for (auto &p : parents)
-        p.wait();
-    EXPECT_EQ(children.load(), 8);
-}
-
-TEST(Submit, WorkerlessPoolRunsTaskOnWait)
-{
-    ThreadPool pool(1); // inline pool: no worker threads
-    bool ran = false;
-    TaskHandle h = pool.submit([&] { ran = true; });
-    EXPECT_FALSE(h.finished());
-    h.wait();
-    EXPECT_TRUE(ran);
-    EXPECT_TRUE(h.finished());
-}
-
-TEST(Submit, TaskCountsAsInsideWorkerWhereverItRuns)
-{
-    // Nested parallelFor must inline inside a submitted task exactly as
-    // it does inside a parallelFor chunk, or determinism guarantees
-    // would depend on which thread claimed the task.
-    for (int32_t threads : {1, 4}) {
-        ThreadPool pool(threads);
-        bool inside = false;
-        TaskHandle h =
-            pool.submit([&] { inside = ThreadPool::insideWorker(); });
-        h.wait();
-        EXPECT_TRUE(inside) << threads << " threads";
-    }
-}
-
-TEST(Submit, DroppedHandleStillExecutes)
-{
-    ThreadPool pool(2);
-    std::mutex m;
-    std::condition_variable cv;
-    bool ran = false;
-    pool.submit([&] {
-        std::lock_guard<std::mutex> lock(m);
-        ran = true;
-        cv.notify_all();
-    }); // handle discarded: the queue still owns the task
-    std::unique_lock<std::mutex> lock(m);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
-                            [&] { return ran; }));
-}
 
 TEST(ParallelFor, CountsSuppressedExceptionsBeyondTheFirst)
 {
@@ -155,12 +53,65 @@ TEST(ParallelFor, CountsSuppressedExceptionsBeyondTheFirst)
               static_cast<uint64_t>(started.load()) - 1);
 }
 
-TEST(Submit, EmptyHandleRejectsWait)
+/** Set (or unset, for null) MESORASI_THREADS for one scope. */
+class ScopedThreadsEnv
 {
-    TaskHandle h;
-    EXPECT_FALSE(h.valid());
-    EXPECT_FALSE(h.finished());
-    EXPECT_THROW(h.wait(), UsageError);
+  public:
+    explicit ScopedThreadsEnv(const char *value)
+    {
+        if (const char *old = std::getenv("MESORASI_THREADS"))
+            saved_ = old;
+        set(value);
+    }
+    ~ScopedThreadsEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+    ScopedThreadsEnv(const ScopedThreadsEnv &) = delete;
+    ScopedThreadsEnv &operator=(const ScopedThreadsEnv &) = delete;
+
+  private:
+    static void
+    set(const char *value)
+    {
+        if (value)
+            setenv("MESORASI_THREADS", value, 1);
+        else
+            unsetenv("MESORASI_THREADS");
+    }
+
+    std::optional<std::string> saved_;
+};
+
+int32_t
+hardwareThreads()
+{
+    ScopedThreadsEnv unset(nullptr);
+    return ThreadPool::defaultThreads();
+}
+
+TEST(DefaultThreads, HonorsWholeIntegersInRange)
+{
+    for (const char *v : {"1", "3", "64", "1024"}) {
+        ScopedThreadsEnv env(v);
+        EXPECT_EQ(ThreadPool::defaultThreads(), std::atoi(v)) << v;
+    }
+}
+
+TEST(DefaultThreads, FallsBackToHardwareOnAnythingElse)
+{
+    const int32_t hw = hardwareThreads();
+    ASSERT_GE(hw, 1);
+    unsigned reported = std::thread::hardware_concurrency();
+    EXPECT_EQ(hw, reported > 0 ? static_cast<int32_t>(reported) : 1);
+    // Prefixes of a valid count that differs from hw, so a parser that
+    // takes the leading digits would return something else.
+    const std::string other = std::to_string(hw + 1);
+    for (const std::string &v :
+         {other + "abc", other + ".5", other + " ", std::string("abc"),
+          std::string(""), std::string("0"), std::string("-3"),
+          std::string("1025"), std::string("4294967297"),
+          std::string("99999999999999999999")}) {
+        ScopedThreadsEnv env(v.c_str());
+        EXPECT_EQ(ThreadPool::defaultThreads(), hw) << "'" << v << "'";
+    }
 }
 
 } // namespace
