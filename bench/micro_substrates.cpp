@@ -7,7 +7,7 @@
  *
  * Besides the google-benchmark suite, main() measures the batched
  * execution engine — a 16-cloud batch through BatchRunner, sequential
- * vs 8 worker threads — and writes the machine-readable
+ * vs up to 8 worker threads — and writes the machine-readable
  * BENCH_micro_substrates.json consumed by the perf-trajectory tooling.
  * Pass --batch-only to skip the google-benchmark suite.
  */
@@ -461,8 +461,7 @@ runMatmulSimdBench(bench::BenchJsonWriter &json)
             {"Kernel", "Median ms", "p90 ms"});
     t.addRow({"forced scalar", fmt(medScalar, 3),
               fmt(percentile(scalar, 90.0), 3)});
-    t.addRow({std::string("simd (") + simd::kIsa + ", width " +
-                  std::to_string(simd::kWidth) + ")",
+    t.addRow({std::string("simd (gemm ") + tensor::gemmIsa() + ")",
               fmt(medSimd, 3), fmt(percentile(simdSamples, 90.0), 3)});
     t.print();
     std::cout << "matmul simd speedup: "
@@ -475,6 +474,7 @@ runMatmulSimdBench(bench::BenchJsonWriter &json)
             {"cols", std::to_string(kCols)},
             {"isa", simd::kIsa},
             {"simd_width", simdWidthStr(forcedScalar)},
+            {"gemm_isa", forcedScalar ? "scalar" : tensor::gemmIsa()},
         };
     };
     json.add("matmul_scalar", params(true), scalar);
@@ -743,7 +743,8 @@ runEngineArtifactBench(bench::BenchJsonWriter &json)
 }
 
 // ---------------------------------------------------------------------
-// Batched execution engine: 16 clouds, sequential vs 8 workers.
+// Batched execution engine: 16 clouds, sequential vs up to 8 workers
+// (BatchRunner clamps the request to the cores it can use).
 // ---------------------------------------------------------------------
 
 constexpr int kBatchSize = 16;
@@ -763,6 +764,7 @@ runBatchEngineBench(bench::BenchJsonWriter &json)
 
     core::BatchRunner sequential(exec, /*numThreads=*/1);
     core::BatchRunner parallel(exec, kBatchThreads);
+    const int32_t parThreads = parallel.numThreads();
 
     // Per-cloud latencies aggregate across every repetition so the
     // table's wall and latency columns describe the same sample set.
@@ -792,7 +794,7 @@ runBatchEngineBench(bench::BenchJsonWriter &json)
              "Clouds/s"});
     t.addRow({"sequential", fmt(seqMedWall, 1), fmt(seqMed, 1),
               fmt(seqP90, 1), fmt(kBatchSize * 1000.0 / seqMedWall, 1)});
-    t.addRow({std::to_string(kBatchThreads) + " threads",
+    t.addRow({std::to_string(parThreads) + " threads",
               fmt(parMedWall, 1), fmt(parMed, 1), fmt(parP90, 1),
               fmt(kBatchSize * 1000.0 / parMedWall, 1)});
     t.print();
@@ -809,7 +811,7 @@ runBatchEngineBench(bench::BenchJsonWriter &json)
         };
     };
     json.add("batch16_sequential", params("sequential", 1), seqWall);
-    json.add("batch16_parallel", params("parallel", kBatchThreads),
+    json.add("batch16_parallel", params("parallel", parThreads),
              parWall);
     json.add("batch16_speedup",
              {{"metric", "x"},

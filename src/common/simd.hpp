@@ -5,16 +5,23 @@
  * Mesorasi's premise is that delayed aggregation turns irregular gather
  * work into regular streaming matrix/reduce work that dense hardware
  * executes efficiently. On the host, "dense hardware" means the vector
- * units, so every hot kernel (matmul, max-reduce, gather-reduce, bias /
- * ReLU / batchnorm epilogues, neighbor dist2 batches) is written against
- * this header instead of raw intrinsics.
+ * units, so the hot kernels (max-reduce, gather-reduce, bias / ReLU /
+ * batchnorm epilogues, neighbor dist2 batches) are written against this
+ * header instead of raw intrinsics. The matmul is the exception: its
+ * cache-blocked GEMM (tensor/gemm*.cpp) is built for AVX2 and AVX-512
+ * besides these lanes, and dispatched at runtime via cpuid, so it runs the host's full width
+ * (up to AVX-512) even in a default build; it honors forceScalar() and
+ * the same bit contract as the kernels here.
  *
  * Design:
  *  - One compile-time lane width, picked from the target ISA: AVX2
  *    (8 x f32), SSE2 (4 x f32), NEON (4 x f32), or a scalar stand-in
- *    (1 x f32). There is no runtime CPUID dispatch: the binary is built
- *    for one width, and CI builds the matrix (baseline SSE2, -mavx2,
- *    and -DMESORASI_FORCE_SCALAR=1).
+ *    (1 x f32). The kernels on this header have no runtime CPUID
+ *    dispatch: the binary is built for one width, and CI builds the
+ *    matrix (baseline SSE2, -mavx2, and -DMESORASI_FORCE_SCALAR=1).
+ *    This header must not be included by the per-ISA GEMM units: its
+ *    inline functions would then exist in two ISA flavours under one
+ *    name.
  *  - VecF is a thin value wrapper: load/store (always unaligned — tensor
  *    rows and workspace buffers carry no alignment guarantee, and
  *    unaligned loads are free on every target we build for), broadcast,

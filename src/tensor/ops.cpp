@@ -6,6 +6,7 @@
 
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
+#include "tensor/gemm.hpp"
 
 namespace mesorasi::tensor {
 
@@ -24,14 +25,12 @@ matmulGrain(int64_t flopsPerRow)
 }
 
 // ---------------------------------------------------------------------
-// Matmul row kernels.
-//
-// Both implementations accumulate every output element c[r][j] as
-// sum_k a[r][k] * b[k][j] in ascending-k order with mul+add (no FMA)
-// from a +0.0f seed, skipping k where a[r][k] == 0 — so the vector
-// path is bitwise identical to the scalar path: vector lanes across j
-// are independent elements, and register blocking across rows shares
-// only the b-row loads, never the per-element accumulation.
+// Matmul. The vector path is the cache-blocked GEMM (tensor/gemm*.cpp),
+// dispatched at runtime to the widest ISA the CPU has; the scalar path
+// is this reference row kernel. Both accumulate every output element
+// c[r][j] as sum_k a[r][k] * b[k][j] in ascending-k order with mul+add
+// (no FMA) from a +0.0f seed, skipping k where a[r][k] == 0 — so the
+// vector path is bitwise identical to the scalar one.
 // ---------------------------------------------------------------------
 
 /** Scalar reference kernel: crow must be zeroed. kj loop order streams
@@ -50,101 +49,15 @@ matmulRowScalar(float *crow, const float *arow, const Tensor &b)
     }
 }
 
-/**
- * Inner j-tile of the vector kernel: TJ vectors wide over R output
- * rows, accumulators held in registers across the whole k loop (the
- * scalar path instead re-loads and re-stores the output row on every k
- * iteration), with each b-row tile load shared by all R rows. The
- * production shape is R=2 x TJ=4: 8 accumulators + 4 b-row registers
- * live, which fits the 16-register file of both SSE2 and AVX2 without
- * spills.
- */
-template <int R, int TJ>
-inline void
-matmulTile(float *const crow[R], const float *const arow[R], int32_t j,
-           const Tensor &b)
-{
-    constexpr int W = simd::kWidth;
-    const int32_t K = b.rows();
-    VecF acc[R][TJ];
-    for (int r = 0; r < R; ++r)
-        for (int t = 0; t < TJ; ++t)
-            acc[r][t] = VecF::zero();
-    for (int32_t k = 0; k < K; ++k) {
-        const float *brow = b.row(k) + j;
-        VecF bv[TJ];
-        for (int t = 0; t < TJ; ++t)
-            bv[t] = VecF::load(brow + t * W);
-        for (int r = 0; r < R; ++r) {
-            float av = arow[r][k];
-            if (av == 0.0f)
-                continue;
-            VecF v = VecF::broadcast(av);
-            for (int t = 0; t < TJ; ++t)
-                acc[r][t] = add(acc[r][t], mul(v, bv[t]));
-        }
-    }
-    for (int r = 0; r < R; ++r)
-        for (int t = 0; t < TJ; ++t)
-            acc[r][t].store(crow[r] + j + t * W);
-}
-
-/** Vector kernel over R output rows at once: wide 4-vector j-tiles,
- *  then narrower 1-vector tiles, then a scalar column tail (same
- *  per-element mul+add sequence, so still bitwise identical). */
-template <int R>
-inline void
-matmulRowsSimd(float *dst, int64_t dstStride, const float *a,
-               int64_t aStride, const Tensor &b)
-{
-    constexpr int W = simd::kWidth;
-    const int32_t K = b.rows();
-    const int32_t M = b.cols();
-    const float *arow[R];
-    float *crow[R];
-    for (int r = 0; r < R; ++r) {
-        arow[r] = a + static_cast<int64_t>(r) * aStride;
-        crow[r] = dst + static_cast<int64_t>(r) * dstStride;
-    }
-
-    int32_t j = 0;
-    for (; j + 4 * W <= M; j += 4 * W)
-        matmulTile<R, 4>(crow, arow, j, b);
-    for (; j + W <= M; j += W)
-        matmulTile<R, 1>(crow, arow, j, b);
-    for (; j < M; ++j) {
-        for (int r = 0; r < R; ++r) {
-            float acc = 0.0f;
-            for (int32_t k = 0; k < K; ++k) {
-                float av = arow[r][k];
-                if (av == 0.0f)
-                    continue;
-                acc += av * b.row(k)[j];
-            }
-            crow[r][j] = acc;
-        }
-    }
-}
-
-/** Shared strided-block matmul body of matmul()/matmulInto():
- *  width-dispatched between the register-blocked vector kernel and the
- *  scalar reference row kernel. */
+/** Shared strided-block matmul body of matmul()/matmulInto(). */
 void
 matmulRowsInto(float *dst, int64_t dstStride, const float *a,
                int64_t aStride, int32_t rows, const Tensor &b)
 {
-    if (simd::enabled()) {
-        int32_t r = 0;
-        for (; r + 2 <= rows; r += 2)
-            matmulRowsSimd<2>(dst + static_cast<int64_t>(r) * dstStride,
-                              dstStride,
-                              a + static_cast<int64_t>(r) * aStride,
-                              aStride, b);
-        for (; r < rows; ++r)
-            matmulRowsSimd<1>(dst + static_cast<int64_t>(r) * dstStride,
-                              dstStride,
-                              a + static_cast<int64_t>(r) * aStride,
-                              aStride, b);
+    gemm::Kernel kernel = simd::enabled() ? gemm::selected() : nullptr;
+    if (kernel) {
+        kernel({dst, dstStride, a, aStride, b.data(), b.cols(), rows,
+                b.rows(), b.cols()});
         return;
     }
     for (int32_t r = 0; r < rows; ++r) {

@@ -108,6 +108,23 @@ void matmulInto(float *dst, int64_t dstStride, const float *a,
                 int64_t aStride, int32_t rows, const Tensor &b);
 
 /**
+ * The ISA matmul() and matmulInto() run on: "avx512", "avx2", "sse2" or
+ * "neon" — on x86 the widest the CPU supports, picked once via cpuid —
+ * or "scalar" when the vector paths are forced off (simd::forceScalar)
+ * or not built. Every ISA gives bitwise-identical results.
+ */
+const char *gemmIsa();
+
+/**
+ * Test hook in the style of simd::setForceScalar: pin the GEMM to the
+ * variant built for @p isa (a gemmIsa() name; nullptr or "" restores
+ * the startup choice). Returns false and changes nothing when this
+ * binary has no such variant or the CPU cannot run it. Not thread-safe
+ * against concurrent matmuls; flip it only between parallel regions.
+ */
+bool setGemmIsa(const char *isa);
+
+/**
  * Strided row-block copy: dst row r gets src row r's first @p cols
  * floats; strides are leading dimensions in floats (>= cols). The plan
  * optimizer's layout-conversion steps (PackRows) use this to repack a

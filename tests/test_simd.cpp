@@ -11,7 +11,9 @@
  *
  *  - matmul / matmulInto across odd (non-multiple-of-lane) column
  *    counts, row-block remainders, sparse inputs (the zero-skip), and
- *    non-finite values in B;
+ *    non-finite values in B; plus a production-shape sweep run once
+ *    per GEMM ISA the host supports (tensor::setGemmIsa), skipped for
+ *    the ISAs it lacks;
  *  - max-reduce / gather-max-reduce including NaN propagation from the
  *    first gathered row and NaN-dropping from later rows;
  *  - bias / ReLU / batchnorm / subtract epilogues including NaN and
@@ -29,7 +31,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -152,6 +156,144 @@ TEST(SimdParity, MatmulIntoStridedBlocks)
     EXPECT_EQ(std::memcmp(scalar.data(), simdOut.data(),
                           scalar.size() * sizeof(float)),
               0);
+}
+
+// --- GEMM: every dispatched ISA at production shapes -----------------
+
+/** Pins the GEMM ISA for one test and restores the startup choice. */
+struct GemmIsaGuard
+{
+    ~GemmIsaGuard() { tensor::setGemmIsa(nullptr); }
+};
+
+/**
+ * One strided matmulInto case, forced scalar vs the pinned ISA: A and
+ * dst carry padding columns (which must stay untouched), A has ~30%
+ * zeros including -0.0, and B has inf/-inf/NaN weights in rows where
+ * half the activations are zero. At most one non-finite weight per
+ * column keeps any NaN payload independent of operand order.
+ */
+void
+expectGemmCaseBitwise(int32_t rows, int32_t k, int32_t m, uint64_t seed)
+{
+    const int64_t aStride = k + 3, dstStride = m + 5;
+    Rng rng(seed);
+    std::vector<float> a(static_cast<size_t>(rows) * aStride, kNan);
+    for (int32_t r = 0; r < rows; ++r)
+        for (int32_t c = 0; c < k; ++c) {
+            float u = rng.uniform();
+            a[r * aStride + c] = u < 0.25f  ? 0.0f
+                                 : u < 0.3f ? -0.0f
+                                            : rng.uniform(-2.0f, 2.0f);
+        }
+    Tensor b = randomTensor(seed + 1, k, m);
+    const int32_t k0 = k / 2, k1 = (k - 1) / 3;
+    for (int32_t r = 0; r < rows; ++r) {
+        a[r * aStride + k0] = r % 2 == 0 ? 0.0f : 1.5f;
+        a[r * aStride + k1] = r % 4 == 1 ? -0.0f : a[r * aStride + k1];
+    }
+    for (int32_t j = 0; j < m; ++j) {
+        if (j % 5 == 0)
+            b(k0, j) = j % 2 == 0 ? kInf : -kInf;
+        else if (j % 5 == 3)
+            b(k1, j) = kNan;
+    }
+
+    std::vector<float> scalar(static_cast<size_t>(rows) * dstStride,
+                              -5.0f);
+    std::vector<float> vec = scalar;
+    {
+        ScalarGuard g(true);
+        tensor::matmulInto(scalar.data(), dstStride, a.data(), aStride,
+                           rows, b);
+    }
+    tensor::matmulInto(vec.data(), dstStride, a.data(), aStride, rows, b);
+    ASSERT_EQ(std::memcmp(scalar.data(), vec.data(),
+                          scalar.size() * sizeof(float)),
+              0)
+        << tensor::gemmIsa() << " " << rows << "x" << k << " * " << k
+        << "x" << m;
+    for (int32_t r = 0; r < rows; ++r)
+        for (int64_t j = m; j < dstStride; ++j)
+            ASSERT_EQ(vec[r * dstStride + j], -5.0f) << "padding written";
+}
+
+class GemmIsaParity : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(GemmIsaParity, ProductionShapesBitwiseEqualScalar)
+{
+    GemmIsaGuard restore;
+    if (!tensor::setGemmIsa(GetParam()))
+        GTEST_SKIP() << GetParam() << " GEMM not built or not on this CPU";
+    ScalarGuard vectorOn(false);
+    ASSERT_STREQ(tensor::gemmIsa(), GetParam());
+
+    // K past any blocking, M over every panel and vector tail of every
+    // lane width, rows over every row-tile remainder (tiles are at most
+    // 12 rows) plus production-sized blocks. K rotates against (rows, M)
+    // so every (rows, M) and every (K, M) pair is covered.
+    const int32_t ks[] = {3, 24, 131, 259, 512, 1024};
+    const int32_t ms[] = {1, 15, 16, 17, 40, 63, 64, 65, 1024};
+    std::vector<int32_t> rowCases;
+    for (int32_t r = 1; r <= 13; ++r)
+        rowCases.push_back(r);
+    rowCases.push_back(128);
+    rowCases.push_back(257);
+    uint64_t seed = 500;
+    for (size_t ri = 0; ri < rowCases.size(); ++ri)
+        for (size_t mi = 0; mi < std::size(ms); ++mi) {
+            const int32_t k = ks[(ri + mi) % std::size(ks)];
+            expectGemmCaseBitwise(rowCases[ri], k, ms[mi], seed);
+            seed += 2;
+        }
+}
+
+TEST_P(GemmIsaParity, AllocatingMatmulBitwiseEqualScalar)
+{
+    GemmIsaGuard restore;
+    if (!tensor::setGemmIsa(GetParam()))
+        GTEST_SKIP() << GetParam() << " GEMM not built or not on this CPU";
+    ScalarGuard vectorOn(false);
+    // The sa3 shape: 128 ReLU-sparse rows through a 512 x 1024 layer.
+    Tensor a = randomTensor(600, 128, 512);
+    sprinkleZeros(a, 601, 0.5);
+    Tensor b = randomTensor(602, 512, 1024);
+    Tensor scalar;
+    {
+        ScalarGuard g(true);
+        scalar = tensor::matmul(a, b);
+    }
+    EXPECT_TRUE(bitwiseEqual(scalar, tensor::matmul(a, b)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Isa, GemmIsaParity,
+                         ::testing::Values("avx512", "avx2", "sse2",
+                                           "neon"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
+
+TEST(GemmDispatch, StartsOnTheWidestSupportedIsa)
+{
+    GemmIsaGuard restore;
+    ScalarGuard vectorOn(false);
+    const std::string chosen = tensor::gemmIsa();
+    std::string widest = "scalar";
+    for (const char *isa : {"avx512", "avx2", "sse2", "neon"})
+        if (tensor::setGemmIsa(isa)) {
+            widest = isa;
+            break;
+        }
+    EXPECT_EQ(chosen, widest);
+
+    EXPECT_FALSE(tensor::setGemmIsa("avx1024"));
+    EXPECT_EQ(std::string(tensor::gemmIsa()), widest);
+    {
+        ScalarGuard g(true);
+        EXPECT_STREQ(tensor::gemmIsa(), "scalar");
+    }
 }
 
 // --- Reductions --------------------------------------------------------
