@@ -98,7 +98,7 @@ struct LevelBuf
 
 PlanIR
 PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
-                          const CompileOptions &opts, CompiledEngine &eng)
+                          CompiledEngine &eng)
 {
     const NetworkConfig &cfg = exec.config();
     bool detection = cfg.task == Task::Detection;
@@ -142,8 +142,7 @@ PlanCompiler::emitProgram(const NetworkExecutor &exec, PipelineKind kind,
             info.backend =
                 mc.backend == neighbor::Backend::Auto
                     ? resolveAutoBackend(info.io,
-                                         mc.search == SearchKind::Knn,
-                                         opts)
+                                         mc.search == SearchKind::Knn)
                     : mc.backend;
         }
 

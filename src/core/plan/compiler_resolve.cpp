@@ -67,22 +67,6 @@ backendCostMs(neighbor::Backend b, const ModuleIo &io, bool knnQuery)
     return (q * visited * dimScale * perElemNs + buildNs) * 1e-6;
 }
 
-/** The per-run chooseBackend heuristic on AOT shapes (the
- *  non-cost-model fallback of CompileOptions). chooseBackend only
- *  reads the view's size/dim and the hints, so a data-less view
- *  carries the shape. */
-neighbor::Backend
-heuristicBackend(const ModuleIo &io, bool knnQuery)
-{
-    neighbor::PointsView shape(nullptr, io.nIn, io.searchDim);
-    neighbor::SearchHints hints;
-    hints.numQueries = io.nOut;
-    hints.k = io.k;
-    if (!knnQuery)
-        hints.radius = 1.0f; // any positive radius marks a ball workload
-    return neighbor::chooseBackend(shape, hints);
-}
-
 } // namespace
 
 double
@@ -93,11 +77,8 @@ PlanCompiler::plannedSearchCostMs(neighbor::Backend backend,
 }
 
 neighbor::Backend
-PlanCompiler::resolveAutoBackend(const ModuleIo &io, bool knnQuery,
-                                 const CompileOptions &opts)
+PlanCompiler::resolveAutoBackend(const ModuleIo &io, bool knnQuery)
 {
-    if (!opts.costModelBackendSelection)
-        return heuristicBackend(io, knnQuery);
     neighbor::Backend best = neighbor::Backend::BruteForce;
     double bestMs = backendCostMs(best, io, knnQuery);
     for (neighbor::Backend b :

@@ -73,18 +73,6 @@ rowElem(const uint8_t *row, DType dt, int32_t e, float scale)
     return reinterpret_cast<const float *>(row)[e];
 }
 
-/** Pad a flat ball-query NIT row exactly like padBallEntry: an empty
- *  ball is seeded with the centroid, then the first (nearest) member
- *  repeats until the row holds k entries. */
-inline void
-padNitRow(int32_t *row, int32_t count, int32_t k, int32_t centroid)
-{
-    if (count == 0)
-        row[count++] = centroid;
-    for (; count < k; ++count)
-        row[count] = row[0];
-}
-
 /** Lower one descriptor op to a closure. */
 std::function<void(ExecutionContext &)>
 bakeOne(const OpDesc &d, const CompiledEngine &eng)
@@ -242,16 +230,6 @@ bakeOne(const OpDesc &d, const CompiledEngine &eng)
                 });
         };
       }
-      case OpKind::PackRows: {
-        int32_t in = d.in, out = d.out;
-        int64_t ldIn = ldOf(eng, in), ldOut = ldOf(eng, out);
-        int64_t rows = d.rows;
-        int32_t cols = d.cols;
-        return [=](ExecutionContext &ctx) {
-            tensor::copyRowsInto(ctx.buf(out), ldOut, ctx.buf(in), ldIn,
-                                 rows, cols);
-        };
-      }
       case OpKind::RngDraw: {
         size_t mod = static_cast<size_t>(d.mod);
         int32_t n = d.srcRows;
@@ -352,24 +330,8 @@ bakeOne(const OpDesc &d, const CompiledEngine &eng)
                 local = neighbor::makeBackend(kindB, view, hints);
                 backend = local.get();
             }
-            int32_t *flat = m.nitFlat.data();
-            const int32_t *cent = m.centroids.data();
-            ThreadPool::global().parallelFor(
-                nOut, /*grain=*/4, [&](int64_t lo, int64_t hi) {
-                    for (int64_t c = lo; c < hi; ++c) {
-                        const float *q =
-                            view.row(cent[static_cast<size_t>(c)]);
-                        int32_t *row = flat + c * k;
-                        if (knnQ) {
-                            backend->knnInto(q, k, row);
-                        } else {
-                            int32_t cnt = backend->radiusInto(q, radius,
-                                                              k, row);
-                            padNitRow(row, cnt, k,
-                                      cent[static_cast<size_t>(c)]);
-                        }
-                    }
-                });
+            backend->fillTable(m.centroids.data(), nOut, k,
+                               knnQ ? 0.0f : radius, m.nitFlat.data());
         };
       }
       case OpKind::GroupDiff: {

@@ -124,8 +124,8 @@ class PftQuantization final : public Pass
 
     /** Whether every read reference to @p buf is one the quantized
      *  kernels cover: a gather-max input or an aggregate-epilogue aux.
-     *  Any other consumer (a PackRows copy, a ConcatCols source, an
-     *  MLP input, ...) expects f32 rows, so the buffer stays f32. */
+     *  Any other consumer (a ConcatCols source, an MLP input, ...)
+     *  expects f32 rows, so the buffer stays f32. */
     static bool
     readersQuantizable(const PlanIR &ir, int32_t buf)
     {

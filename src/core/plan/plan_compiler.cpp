@@ -17,7 +17,7 @@ PlanCompiler::compile(const NetworkExecutor &exec, PipelineKind kind,
                       const CompileOptions &opts)
 {
     CompiledEngine eng;
-    PlanIR ir = emitProgram(exec, kind, opts, eng);
+    PlanIR ir = emitProgram(exec, kind, eng);
 
     // --- Optimize: run the pass pipeline over the IR. ----------------
     {

@@ -44,14 +44,6 @@ namespace mesorasi::core::plan {
 
 struct CompileOptions
 {
-    /**
-     * Resolve Backend::Auto with the hwsim analytic cost model
-     * (default). When false the compiler replays the per-run
-     * chooseBackend shape heuristic instead — useful for isolating the
-     * cost model's decisions.
-     */
-    bool costModelBackendSelection = true;
-
     /** Optimizer pipeline knobs (enable/disable, numerics opt-in,
      *  forced PFT layout). */
     PassOptions passes;
@@ -71,9 +63,8 @@ class PlanCompiler
      * per-candidate costs in the hwsim model). Exposed for tests and
      * benches.
      */
-    static neighbor::Backend
-    resolveAutoBackend(const ModuleIo &io, bool knnQuery,
-                       const CompileOptions &opts = {});
+    static neighbor::Backend resolveAutoBackend(const ModuleIo &io,
+                                                bool knnQuery);
 
     /**
      * Analytic cost (ms) of answering one module's N stage with
@@ -91,7 +82,6 @@ class PlanCompiler
      *  rewrites before the engine is frozen. */
     static PlanIR emitProgram(const NetworkExecutor &exec,
                               PipelineKind kind,
-                              const CompileOptions &opts,
                               CompiledEngine &eng);
 };
 

@@ -834,8 +834,10 @@ class EngineSerializer
         };
 
         auto checkDesc = [&](const OpDesc &d, const std::string &step) {
+            // 7 is a retired op number (step_ir.hpp): no bake exists.
             MESO_REQUIRE_ARTIFACT(
-                d.op > OpKind::Generic && d.op <= OpKind::QuantizeRows,
+                d.op > OpKind::Generic && d.op <= OpKind::QuantizeRows &&
+                    static_cast<int32_t>(d.op) != 7,
                 "corrupt engine artifact: step '"
                     << step << "' op "
                     << static_cast<int32_t>(d.op)
@@ -915,10 +917,6 @@ class EngineSerializer
                                  << step
                                  << "' rows exceed centroid list");
                 break;
-              case OpKind::PackRows:
-                needBuf(d.in, "in", step);
-                needBuf(d.out, "out", step);
-                break;
               case OpKind::RngDraw:
                 needMod(d.mod, step);
                 MESO_REQUIRE_ARTIFACT(d.rows <= d.srcRows,
@@ -949,6 +947,9 @@ class EngineSerializer
                              "corrupt engine artifact: step '"
                                  << step
                                  << "' search exceeds module NIT");
+                MESO_REQUIRE_ARTIFACT(d.knn || d.radius > 0.0f,
+                             "corrupt engine artifact: step '"
+                                 << step << "' ball radius " << d.radius);
                 MESO_REQUIRE_ARTIFACT(
                     d.backend >= 0 &&
                         d.backend <= static_cast<int32_t>(

@@ -53,8 +53,6 @@ opKindName(OpKind op)
         return "sub_centroid";
       case OpKind::AggAddAuxRelu:
         return "add_aux_relu";
-      case OpKind::PackRows:
-        return "pack_rows";
       case OpKind::RngDraw:
         return "rng_draw";
       case OpKind::MaterializeCloud:

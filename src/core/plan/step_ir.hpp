@@ -94,73 +94,75 @@ std::string resourceName(int32_t id);
  * emitting or baking it is an error (tests iterate compiled IR to
  * assert none appear).
  *
+ * Enumerators carry explicit values because artifacts serialize them:
+ * a retired op's number is never reused.
+ *
  * Descriptors reference weights and MLPs by id into the engine-owned
  * tables (CompiledEngine::mlps/weights) — never by pointer — so a
  * baked engine is self-contained and a loaded one bit-identical.
  */
 enum class OpKind
 {
-    Generic, ///< invalid sentinel; never emitted, never baked
+    Generic = 0, ///< invalid sentinel; never emitted, never baked
     /** mlp(mlpId).forwardInto(in, ld(in), rows, out, ld(out),
      *  firstLayer). @p out may be kResLogits (writes ctx.logits_). */
-    MlpForward,
+    MlpForward = 1,
     /** matmulInto(out, ld(out), in, ld(in), rows, weight(weightId)). */
-    Matmul,
+    Matmul = 2,
     /** biasReluBlockInPlace(out, ld(out), rows, cols, bias(biasId),
      *  relu); biasId < 0 means no bias row. */
-    BiasRelu,
+    BiasRelu = 3,
     /** Per-centroid fused gather + column max from @p in into @p out
      *  over module @p mod's NIT rows. */
-    AggGatherMax,
+    AggGatherMax = 4,
     /** out.row(c) -= aux.row(centroid[c]) — the delayed-aggregation
      *  centroid subtraction (exact past the max). */
-    AggSubCentroid,
+    AggSubCentroid = 5,
     /** out.row(c) = act(out.row(c) + aux.row(centroid[c])) — the
      *  EdgeConv split-weight epilogue. */
-    AggAddAuxRelu,
-    /** Layout conversion: copy rows of @p in into @p out with @p out's
-     *  leading dimension. */
-    PackRows,
+    AggAddAuxRelu = 6,
+    // 7 is retired (a row-copy layout conversion the layout pass no
+    // longer emits); an artifact naming it is corrupt.
     /** One sampler draw: sampleWithoutReplacementInto(srcRows, rows,
      *  centroids(mod)). Chained through kResRng (see above). */
-    RngDraw,
+    RngDraw = 8,
     /** Unpack the input cloud's xyz into arena buffer @p out
      *  (rows x 3). */
-    MaterializeCloud,
+    MaterializeCloud = 9,
     /** Resolve module @p mod's centroid list (@p mode — see
      *  SampleMode): iota, sorted random draws, FPS over @p in coords,
      *  or the global singleton {0}. */
-    ResolveSample,
+    ResolveSample = 10,
     /** Fill module @p mod's flat NIT: knn/radius queries with the
      *  compile-resolved @p backend over @p in (srcRows x inCols),
      *  queried at the module's centroids. */
-    SearchNit,
+    SearchNit = 11,
     /** Grouped neighbor-difference rows: for centroid c and neighbor j,
      *  row (c*k+j) of @p out is nf-cf (or [cf | nf-cf] when @p concat)
      *  gathered from @p in via module @p mod's NIT/centroids. */
-    GroupDiff,
+    GroupDiff = 12,
     /** Per-centroid max over k contiguous rows: out.row(c) =
      *  colmax(in.rows[c*k .. c*k+k)). */
-    ReduceMaxRows,
+    ReduceMaxRows = 13,
     /** Column max over all @p srcRows rows of @p in, written to
      *  out.row(0) starting at column @p outCol. */
-    ReduceMaxAll,
+    ReduceMaxAll = 14,
     /** out.row(c) = in.row(centroids(mod)[c]), @p cols floats. */
-    GatherRows,
+    GatherRows = 15,
     /** Zero @p rows x @p cols of @p out. */
-    FillZero,
+    FillZero = 16,
     /** Column concatenation of @p srcs into @p out; a 1-row source is
      *  broadcast onto every output row. */
-    ConcatCols,
+    ConcatCols = 17,
     /** PointNet++ three-interpolate: inverse-distance-weighted average
      *  of the k nearest coarse points. in = coarse features
      *  (srcRows x cols), aux = coarse coords, in2 = fine coords,
      *  out = rows x cols. Queries the compile-resolved @p backend. */
-    Interp3NN,
+    Interp3NN = 18,
     /** Symmetric quantization of @p rows x @p cols of f32 buffer @p in
      *  into quantized buffer @p out; @p out's BufferShape dtype/qscale
      *  select int8 or packed int4 (quantize_pft pass). */
-    QuantizeRows,
+    QuantizeRows = 19,
 };
 
 const char *opKindName(OpKind op);

@@ -1,6 +1,8 @@
 #include "neighbor/brute_force.hpp"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/workspace.hpp"
@@ -11,7 +13,7 @@ namespace mesorasi::neighbor {
 namespace {
 
 /** Grow-only per-thread (distance, index) ranking scratch shared by
- *  the scan kernels, so the Into variants never allocate once warm. */
+ *  both scans, so queries never allocate once warm. */
 std::vector<std::pair<float, int32_t>> &
 rankScratch()
 {
@@ -19,45 +21,21 @@ rankScratch()
     return scratch;
 }
 
-/** Fill the ranking scratch with the in-ball (d2, index) pairs of
- *  @p query, sorted nearest first with ties by index. */
-void
-collectInBall(const PointsView &points, const float *query, float radius,
-              std::vector<std::pair<float, int32_t>> &found)
-{
-    MESO_REQUIRE(radius > 0.0f, "radius must be positive");
-    float r2 = radius * radius;
-    int32_t n = points.size();
-    Workspace &ws = Workspace::local();
-    Workspace::ScopedClaim claim(ws, Workspace::kDistOut);
-    float *d2 = ws.floats(Workspace::kDistOut, static_cast<size_t>(n));
-    dist2Range(points, 0, n, query, d2);
-    found.clear();
-    for (int32_t i = 0; i < n; ++i) {
-        if (d2[i] <= r2)
-            found.push_back({d2[i], i});
-    }
-    // Nearest first, ties by index, so truncation at maxK keeps the
-    // same set no matter which search structure answered the query.
-    std::sort(found.begin(), found.end());
-}
-
 } // namespace
 
 void
-knnScanInto(const PointsView &points, const float *query, int32_t k,
-            int32_t *out)
+BruteForce::knnInto(const float *query, int32_t k, int32_t *out) const
 {
-    MESO_REQUIRE(k > 0 && k <= points.size(),
-                 "k=" << k << " with " << points.size() << " points");
-    int32_t n = points.size();
+    MESO_REQUIRE(k > 0 && k <= points_.size(),
+                 "k=" << k << " with " << points_.size() << " points");
+    int32_t n = points_.size();
     // Batched distance pass (SIMD over candidates), then rank. The d2
     // values are bitwise identical to per-point dist2To, so the
     // (distance, index) order — and therefore the result — is too.
     Workspace &ws = Workspace::local();
     Workspace::ScopedClaim claim(ws, Workspace::kDistOut);
     float *d2 = ws.floats(Workspace::kDistOut, static_cast<size_t>(n));
-    dist2Range(points, 0, n, query, d2);
+    dist2Range(points_, 0, n, query, d2);
     std::vector<std::pair<float, int32_t>> &dists = rankScratch();
     dists.resize(static_cast<size_t>(n));
     for (int32_t i = 0; i < n; ++i)
@@ -69,82 +47,32 @@ knnScanInto(const PointsView &points, const float *query, int32_t k,
         out[j] = dists[static_cast<size_t>(j)].second;
 }
 
-std::vector<int32_t>
-knnScan(const PointsView &points, const float *query, int32_t k)
-{
-    std::vector<int32_t> out(static_cast<size_t>(k));
-    knnScanInto(points, query, k, out.data());
-    return out;
-}
-
 int32_t
-radiusScanInto(const PointsView &points, const float *query, float radius,
-               int32_t maxK, int32_t *out)
+BruteForce::radiusInto(const float *query, float radius, int32_t maxK,
+                       int32_t *out) const
 {
-    MESO_REQUIRE(maxK > 0, "radiusScanInto needs a positive maxK");
+    MESO_REQUIRE(radius > 0.0f && maxK > 0,
+                 "radius=" << radius << " maxK=" << maxK);
+    float r2 = radius * radius;
+    int32_t n = points_.size();
+    Workspace &ws = Workspace::local();
+    Workspace::ScopedClaim claim(ws, Workspace::kDistOut);
+    float *d2 = ws.floats(Workspace::kDistOut, static_cast<size_t>(n));
+    dist2Range(points_, 0, n, query, d2);
     std::vector<std::pair<float, int32_t>> &found = rankScratch();
-    collectInBall(points, query, radius, found);
+    found.clear();
+    for (int32_t i = 0; i < n; ++i) {
+        if (d2[i] <= r2)
+            found.push_back({d2[i], i});
+    }
+    // Nearest first, ties by index, so truncation at maxK keeps the
+    // same set no matter which search structure answered the query.
+    std::sort(found.begin(), found.end());
     int32_t count =
         std::min<int32_t>(maxK, static_cast<int32_t>(found.size()));
     for (int32_t j = 0; j < count; ++j)
         out[j] = found[static_cast<size_t>(j)].second;
     return count;
-}
-
-std::vector<int32_t>
-radiusScan(const PointsView &points, const float *query, float radius,
-           int32_t maxK)
-{
-    std::vector<std::pair<float, int32_t>> &found = rankScratch();
-    collectInBall(points, query, radius, found);
-    std::vector<int32_t> out;
-    for (const auto &[d2, i] : found) {
-        if (maxK > 0 && static_cast<int32_t>(out.size()) >= maxK)
-            break;
-        out.push_back(i);
-    }
-    return out;
-}
-
-NeighborIndexTable
-knnBruteForce(const PointsView &points, const std::vector<int32_t> &queries,
-              int32_t k)
-{
-    MESO_REQUIRE(k > 0 && k <= points.size(),
-                 "k=" << k << " with " << points.size() << " points");
-    NeighborIndexTable nit(k);
-    for (int32_t q : queries) {
-        MESO_REQUIRE(q >= 0 && q < points.size(), "query " << q);
-        NitEntry entry;
-        entry.centroid = q;
-        entry.neighbors = knnScan(points, points.row(q), k);
-        nit.add(std::move(entry));
-    }
-    return nit;
-}
-
-NeighborIndexTable
-ballQueryBruteForce(const PointsView &points,
-                    const std::vector<int32_t> &queries, float radius,
-                    int32_t maxK, bool padToMaxK)
-{
-    MESO_REQUIRE(radius > 0.0f && maxK > 0,
-                 "radius=" << radius << " maxK=" << maxK);
-    NeighborIndexTable nit(maxK);
-    for (int32_t q : queries) {
-        MESO_REQUIRE(q >= 0 && q < points.size(), "query " << q);
-        NitEntry entry;
-        entry.centroid = q;
-        entry.neighbors = radiusScan(points, points.row(q), radius, maxK);
-        // Overfull balls keep the *nearest* maxK (the cross-backend
-        // ordering contract; the original reference kept the first maxK
-        // in index order instead). padBallEntry keeps the padding
-        // contract shared with SearchBackend::ballTable.
-        if (padToMaxK)
-            padBallEntry(entry, maxK);
-        nit.add(std::move(entry));
-    }
-    return nit;
 }
 
 } // namespace mesorasi::neighbor

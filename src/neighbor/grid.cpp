@@ -10,30 +10,35 @@
 
 namespace mesorasi::neighbor {
 
-// ---------------------------------------------------------------------
-// GridIndex
-// ---------------------------------------------------------------------
-
-GridIndex::GridIndex(const PointsView &points, float cellSize,
-                     const float *origin)
-    : points_(points), cellSize_(cellSize)
+GridIndex::GridIndex(const PointsView &points, const SearchHints &hints)
+    : SearchBackend(points)
 {
     MESO_REQUIRE(points.dim() == 3,
-                 "GridIndex is 3-D only, got dim " << points.dim());
-    MESO_REQUIRE(cellSize > 0.0f, "cell size must be positive");
+                 "grid backend is 3-D only, got dim " << points.dim());
     MESO_REQUIRE(points.size() > 0, "cannot index an empty view");
 
-    if (origin) {
-        for (int32_t d = 0; d < 3; ++d)
-            origin_[d] = origin[d];
-    } else {
-        for (int32_t d = 0; d < 3; ++d)
-            origin_[d] = points.row(0)[d];
-        for (int32_t i = 1; i < points.size(); ++i) {
-            const float *p = points.row(i);
-            for (int32_t d = 0; d < 3; ++d)
-                origin_[d] = std::min(origin_[d], p[d]);
+    // One bounding-box pass serves both the grid origin and the
+    // cell-size heuristic.
+    float hi[3];
+    for (int32_t d = 0; d < 3; ++d)
+        origin_[d] = hi[d] = points.row(0)[d];
+    for (int32_t i = 1; i < points.size(); ++i) {
+        const float *p = points.row(i);
+        for (int32_t d = 0; d < 3; ++d) {
+            origin_[d] = std::min(origin_[d], p[d]);
+            hi[d] = std::max(hi[d], p[d]);
         }
+    }
+    if (hints.radius > 0.0f) {
+        cellSize_ = hints.radius;
+    } else {
+        float volume = 1.0f;
+        for (int32_t d = 0; d < 3; ++d)
+            volume *= std::max(hi[d] - origin_[d], 1e-3f);
+        float k = static_cast<float>(hints.k > 0 ? hints.k : 16);
+        cellSize_ = std::max(
+            std::cbrt(volume * k / static_cast<float>(points.size())),
+            1e-4f);
     }
 
     // CSR build: key every point, sort (key, index) pairs — ascending
@@ -91,9 +96,10 @@ GridIndex::key(int64_t cx, int64_t cy, int64_t cz) const
 
 namespace {
 
-/** Grow-only per-thread ranking scratch for the grid query cores. */
+/** Grow-only per-thread (distance, index) ranking scratch shared by
+ *  both grid queries. */
 std::vector<std::pair<float, int32_t>> &
-gridRankScratch()
+rankScratch()
 {
     static thread_local std::vector<std::pair<float, int32_t>> scratch;
     return scratch;
@@ -101,17 +107,19 @@ gridRankScratch()
 
 } // namespace
 
-void
-GridIndex::collectBall(const float *query, float radius,
-                       std::vector<std::pair<float, int32_t>> &found) const
+int32_t
+GridIndex::radiusInto(const float *query, float radius, int32_t maxK,
+                      int32_t *out) const
 {
-    MESO_REQUIRE(radius > 0.0f, "radius must be positive");
+    MESO_REQUIRE(radius > 0.0f && maxK > 0,
+                 "radius=" << radius << " maxK=" << maxK);
     float r2 = radius * radius;
     int64_t reach =
         static_cast<int64_t>(std::ceil(radius / cellSize_));
 
     int64_t c[3];
     cellOf(query, c);
+    std::vector<std::pair<float, int32_t>> &found = rankScratch();
     found.clear();
     for (int64_t dx = -reach; dx <= reach; ++dx) {
         for (int64_t dy = -reach; dy <= reach; ++dy) {
@@ -137,29 +145,6 @@ GridIndex::collectBall(const float *query, float radius,
     // Default pair ordering is (distance, index): ties resolve
     // deterministically and identically across all search backends.
     std::sort(found.begin(), found.end());
-}
-
-std::vector<int32_t>
-GridIndex::radius(const float *query, float radius, int32_t maxK) const
-{
-    std::vector<std::pair<float, int32_t>> &found = gridRankScratch();
-    collectBall(query, radius, found);
-    std::vector<int32_t> out;
-    for (const auto &[d2, idx] : found) {
-        if (maxK > 0 && static_cast<int32_t>(out.size()) >= maxK)
-            break;
-        out.push_back(idx);
-    }
-    return out;
-}
-
-int32_t
-GridIndex::radiusInto(const float *query, float radius, int32_t maxK,
-                      int32_t *out) const
-{
-    MESO_REQUIRE(maxK > 0, "radiusInto needs a positive maxK");
-    std::vector<std::pair<float, int32_t>> &found = gridRankScratch();
-    collectBall(query, radius, found);
     int32_t count =
         std::min<int32_t>(maxK, static_cast<int32_t>(found.size()));
     for (int32_t j = 0; j < count; ++j)
@@ -168,11 +153,11 @@ GridIndex::radiusInto(const float *query, float radius, int32_t maxK,
 }
 
 void
-GridIndex::collectKnn(const float *query, int32_t k,
-                      std::vector<std::pair<float, int32_t>> &best) const
+GridIndex::knnInto(const float *query, int32_t k, int32_t *out) const
 {
     MESO_REQUIRE(k > 0 && k <= points_.size(),
                  "k=" << k << " with " << points_.size() << " points");
+    std::vector<std::pair<float, int32_t>> &best = rankScratch();
     best.clear();
 
     int64_t c[3];
@@ -235,116 +220,8 @@ GridIndex::collectKnn(const float *query, int32_t k,
             }
         }
     }
-}
-
-void
-GridIndex::knnInto(const float *query, int32_t k, int32_t *out) const
-{
-    std::vector<std::pair<float, int32_t>> &best = gridRankScratch();
-    collectKnn(query, k, best);
     for (size_t i = 0; i < best.size(); ++i)
         out[i] = best[i].second;
-}
-
-std::vector<int32_t>
-GridIndex::knn(const float *query, int32_t k) const
-{
-    std::vector<std::pair<float, int32_t>> &best = gridRankScratch();
-    collectKnn(query, k, best);
-    std::vector<int32_t> out;
-    out.reserve(best.size());
-    for (const auto &[d2, idx] : best)
-        out.push_back(idx);
-    return out;
-}
-
-// ---------------------------------------------------------------------
-// UniformGrid
-// ---------------------------------------------------------------------
-
-UniformGrid::UniformGrid(const geom::PointCloud &cloud, float cellSize)
-    : cloud_(cloud), cellSize_(cellSize)
-{
-    MESO_REQUIRE(cellSize > 0.0f, "cell size must be positive");
-    MESO_REQUIRE(!cloud.empty(), "cannot index an empty cloud");
-    origin_ = cloud.bounds().lo;
-    for (size_t i = 0; i < cloud.size(); ++i)
-        cells_[cellKey(cloud[i])].push_back(static_cast<int32_t>(i));
-}
-
-int64_t
-UniformGrid::cellKey(const geom::Point3 &p) const
-{
-    geom::Point3 rel = p - origin_;
-    int64_t cx = static_cast<int64_t>(std::floor(rel.x / cellSize_));
-    int64_t cy = static_cast<int64_t>(std::floor(rel.y / cellSize_));
-    int64_t cz = static_cast<int64_t>(std::floor(rel.z / cellSize_));
-    // 21 signed bits per axis.
-    auto pack = [](int64_t v) { return (v + (1 << 20)) & 0x1fffff; };
-    return (pack(cx) << 42) | (pack(cy) << 21) | pack(cz);
-}
-
-std::vector<int32_t>
-UniformGrid::radius(int32_t query, float radius, int32_t maxK) const
-{
-    MESO_REQUIRE(query >= 0 &&
-                     static_cast<size_t>(query) < cloud_.size(),
-                 "query " << query);
-    MESO_REQUIRE(radius > 0.0f, "radius must be positive");
-
-    const geom::Point3 &q = cloud_[query];
-    float r2 = radius * radius;
-    int32_t reach = static_cast<int32_t>(std::ceil(radius / cellSize_));
-
-    std::vector<std::pair<float, int32_t>> found;
-    geom::Point3 rel = q - origin_;
-    int64_t cx = static_cast<int64_t>(std::floor(rel.x / cellSize_));
-    int64_t cy = static_cast<int64_t>(std::floor(rel.y / cellSize_));
-    int64_t cz = static_cast<int64_t>(std::floor(rel.z / cellSize_));
-
-    auto pack = [](int64_t v) { return (v + (1 << 20)) & 0x1fffff; };
-    for (int64_t dx = -reach; dx <= reach; ++dx) {
-        for (int64_t dy = -reach; dy <= reach; ++dy) {
-            for (int64_t dz = -reach; dz <= reach; ++dz) {
-                int64_t key = (pack(cx + dx) << 42) |
-                              (pack(cy + dy) << 21) | pack(cz + dz);
-                auto it = cells_.find(key);
-                if (it == cells_.end())
-                    continue;
-                for (int32_t idx : it->second) {
-                    float d2 = cloud_[idx].dist2(q);
-                    if (d2 <= r2)
-                        found.push_back({d2, idx});
-                }
-            }
-        }
-    }
-    std::sort(found.begin(), found.end());
-    std::vector<int32_t> out;
-    for (const auto &[d2, idx] : found) {
-        if (maxK > 0 && static_cast<int32_t>(out.size()) >= maxK)
-            break;
-        out.push_back(idx);
-    }
-    return out;
-}
-
-NeighborIndexTable
-UniformGrid::ballTable(const std::vector<int32_t> &queries, float r,
-                       int32_t maxK, bool padToMaxK) const
-{
-    MESO_REQUIRE(maxK > 0, "maxK must be positive");
-    NeighborIndexTable nit(maxK);
-    for (int32_t q : queries) {
-        NitEntry entry;
-        entry.centroid = q;
-        entry.neighbors = radius(q, r, maxK);
-        // Same padding contract as SearchBackend::ballTable.
-        if (padToMaxK)
-            padBallEntry(entry, maxK);
-        nit.add(std::move(entry));
-    }
-    return nit;
 }
 
 } // namespace mesorasi::neighbor

@@ -1,27 +1,19 @@
 /**
  * @file
- * Uniform-grid spatial indexes for 3-D queries.
+ * Uniform-grid spatial index for 3-D queries: the "grid" search
+ * backend.
  *
  * Complements the KD-tree: for the LiDAR-scale clouds produced by
  * KittiSim, a flat grid with cell size ~= radius answers ball queries in
- * near-constant time per query. 3-D only (cells hash xyz).
- *
- * Two variants: GridIndex works over a dimension-generic PointsView
- * (restricted to dim == 3) and additionally answers exact k-NN via
- * expanding cell shells — it backs the "grid" SearchBackend. UniformGrid
- * is the original PointCloud-based radius-only index kept for direct
- * use on geom clouds.
+ * near-constant time per query, and exact k-NN expands cell shells.
+ * 3-D only (cells hash xyz).
  */
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "geom/point_cloud.hpp"
-#include "neighbor/nit.hpp"
-#include "neighbor/points_view.hpp"
+#include "neighbor/search_backend.hpp"
 
 namespace mesorasi::neighbor {
 
@@ -39,35 +31,24 @@ namespace mesorasi::neighbor {
  * batched SIMD dist2 kernels directly and allocates nothing after
  * build.
  */
-class GridIndex
+class GridIndex final : public SearchBackend
 {
   public:
-    /** @param points 3-D view to index
-     *  @param cellSize edge length of a grid cell (choose ~= query
-     *  radius, or ~ the expected k-NN range, for best performance)
-     *  @param origin optional precomputed per-axis minimum of the
-     *  points (3 floats); skips the min-scan pass when the caller
-     *  already has the bounding box. */
-    GridIndex(const PointsView &points, float cellSize,
-              const float *origin = nullptr);
+    /** Index the 3-D view @p points. The cell size comes from the
+     *  query-shape hints: ball workloads get cell size == radius; k-NN
+     *  workloads size the cell so one cell holds roughly the expected
+     *  group (hints.k, 16 if unknown). */
+    explicit GridIndex(const PointsView &points,
+                       const SearchHints &hints = {});
 
-    /** k nearest neighbors of the external point @p query (3 floats),
-     *  sorted by (distance, index). */
-    std::vector<int32_t> knn(const float *query, int32_t k) const;
+    const char *name() const override { return "grid"; }
 
-    /** All points within @p radius of @p query, sorted by (distance,
-     *  index), truncated to maxK if maxK > 0. */
-    std::vector<int32_t> radius(const float *query, float radius,
-                                int32_t maxK = -1) const;
+    /** Ranking scratch lives in grow-only per-thread storage. */
+    void knnInto(const float *query, int32_t k,
+                 int32_t *out) const override;
 
-    /** knn into caller-owned memory (exactly k indices): identical
-     *  results, candidate ranking in grow-only per-thread scratch. */
-    void knnInto(const float *query, int32_t k, int32_t *out) const;
-
-    /** radius into caller-owned memory (@p maxK must be positive):
-     *  writes up to maxK indices, returns the count. */
     int32_t radiusInto(const float *query, float radius, int32_t maxK,
-                       int32_t *out) const;
+                       int32_t *out) const override;
 
     /** Number of occupied cells (diagnostics). */
     size_t numCells() const { return cellKeys_.size(); }
@@ -88,16 +69,7 @@ class GridIndex
     /** CSR lookup: span of the cell with @p key (count 0 if empty). */
     CellSpan findCell(int64_t key) const;
 
-    // Shared query cores: fill (d2, index) pairs, sorted by (distance,
-    // index), into caller scratch — the single copy of the cell-scan
-    // logic behind both the allocating and the Into query paths.
-    void collectBall(const float *query, float radius,
-                     std::vector<std::pair<float, int32_t>> &found) const;
-    void collectKnn(const float *query, int32_t k,
-                    std::vector<std::pair<float, int32_t>> &best) const;
-
-    PointsView points_;
-    float cellSize_;
+    float cellSize_ = 0.0f;
     float origin_[3] = {0.0f, 0.0f, 0.0f};
     int64_t loCell_[3] = {0, 0, 0}; ///< cell-coordinate bounds
     int64_t hiCell_[3] = {0, 0, 0};
@@ -108,36 +80,6 @@ class GridIndex
     std::vector<int64_t> cellKeys_;
     std::vector<int32_t> cellStart_;
     std::vector<int32_t> cellPoints_;
-};
-
-/** Hash-grid over a 3-D point cloud; the cloud must outlive the grid. */
-class UniformGrid
-{
-  public:
-    /** @param cellSize edge length of a grid cell (choose ~= query
-     *  radius for best performance). */
-    UniformGrid(const geom::PointCloud &cloud, float cellSize);
-
-    /** Indices of all points within @p radius of point @p query
-     *  (by index), nearest first, truncated to maxK if maxK > 0. */
-    std::vector<int32_t> radius(int32_t query, float radius,
-                                int32_t maxK = -1) const;
-
-    /** Ball-query NIT over the given centroids (pads like brute force). */
-    NeighborIndexTable ballTable(const std::vector<int32_t> &queries,
-                                 float radius, int32_t maxK,
-                                 bool padToMaxK = true) const;
-
-    /** Number of occupied cells (diagnostics). */
-    size_t numCells() const { return cells_.size(); }
-
-  private:
-    int64_t cellKey(const geom::Point3 &p) const;
-
-    const geom::PointCloud &cloud_;
-    float cellSize_;
-    geom::Point3 origin_;
-    std::unordered_map<int64_t, std::vector<int32_t>> cells_;
 };
 
 } // namespace mesorasi::neighbor

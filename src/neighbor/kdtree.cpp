@@ -10,7 +10,7 @@
 namespace mesorasi::neighbor {
 
 KdTree::KdTree(const PointsView &points, int32_t leafSize)
-    : points_(points), leafSize_(leafSize)
+    : SearchBackend(points), leafSize_(leafSize)
 {
     MESO_REQUIRE(leafSize > 0, "leaf size must be positive");
     MESO_REQUIRE(points.size() > 0, "cannot build tree over no points");
@@ -153,14 +153,6 @@ KdTree::knnInto(const float *query, int32_t k, int32_t *out) const
         out[i] = heap[i].index;
 }
 
-std::vector<int32_t>
-KdTree::knn(const float *query, int32_t k) const
-{
-    std::vector<int32_t> out(static_cast<size_t>(k));
-    knnInto(query, k, out.data());
-    return out;
-}
-
 int32_t
 KdTree::radiusInto(const float *query, float radius, int32_t maxK,
                    int32_t *out) const
@@ -176,23 +168,6 @@ KdTree::radiusInto(const float *query, float radius, int32_t maxK,
     for (int32_t j = 0; j < count; ++j)
         out[j] = found[static_cast<size_t>(j)].index;
     return count;
-}
-
-std::vector<int32_t>
-KdTree::radius(const float *query, float radius, int32_t maxK) const
-{
-    MESO_REQUIRE(radius > 0.0f, "radius must be positive");
-    static thread_local std::vector<HeapItem> found;
-    found.clear();
-    searchRadius(0, query, radius * radius, found);
-    std::sort(found.begin(), found.end());
-    std::vector<int32_t> out;
-    for (const auto &h : found) {
-        if (maxK > 0 && static_cast<int32_t>(out.size()) >= maxK)
-            break;
-        out.push_back(h.index);
-    }
-    return out;
 }
 
 } // namespace mesorasi::neighbor

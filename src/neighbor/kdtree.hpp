@@ -1,48 +1,36 @@
 /**
  * @file
- * KD-tree over D-dimensional points for exact k-NN and radius queries.
+ * KD-tree over D-dimensional points for exact k-NN and radius queries:
+ * the "kdtree" search backend.
  *
- * Median-split construction, branch-and-bound traversal. Used by the
- * software pipelines as the fast host-side search and validated against
- * brute force in the test suite.
+ * Median-split construction, branch-and-bound traversal. The general
+ * fast path of the software pipelines, validated against brute force
+ * in the test suite.
  */
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "neighbor/nit.hpp"
-#include "neighbor/points_view.hpp"
+#include "neighbor/search_backend.hpp"
 
 namespace mesorasi::neighbor {
 
 /** Exact KD-tree; the view must outlive the tree. */
-class KdTree
+class KdTree final : public SearchBackend
 {
   public:
     /** Build over all points of @p points. */
     explicit KdTree(const PointsView &points, int32_t leafSize = 16);
 
-    /** k nearest neighbors of the external point @p query (dim floats). */
-    std::vector<int32_t> knn(const float *query, int32_t k) const;
+    const char *name() const override { return "kdtree"; }
 
-    /** knn into caller-owned memory (exactly k indices): identical
-     *  results, with the traversal heap in grow-only per-thread scratch
-     *  so the steady state never allocates. */
-    void knnInto(const float *query, int32_t k, int32_t *out) const;
+    /** The traversal heap lives in grow-only per-thread scratch. */
+    void knnInto(const float *query, int32_t k,
+                 int32_t *out) const override;
 
-    /** radius into caller-owned memory (@p maxK must be positive):
-     *  writes up to maxK indices, returns the count. */
     int32_t radiusInto(const float *query, float radius, int32_t maxK,
-                       int32_t *out) const;
-
-    /** All points within @p radius of @p query, nearest first,
-     *  truncated to @p maxK if maxK > 0. NIT construction lives in
-     *  SearchBackend::knnTable/ballTable (the single copy of the
-     *  truncate-and-pad contract); wrap the tree in the "kdtree"
-     *  backend to build tables. */
-    std::vector<int32_t> radius(const float *query, float radius,
-                                int32_t maxK = -1) const;
+                       int32_t *out) const override;
 
     /** Number of internal nodes (diagnostics). */
     int32_t numNodes() const { return static_cast<int32_t>(nodes_.size()); }
@@ -81,7 +69,6 @@ class KdTree
     void searchRadius(int32_t node, const float *query, float r2,
                       std::vector<HeapItem> &found) const;
 
-    PointsView points_;
     int32_t leafSize_;
     std::vector<int32_t> order_;  ///< permutation of point indices
     std::vector<Node> nodes_;

@@ -25,20 +25,20 @@ struct NitEntry
 };
 
 /**
- * The shared ball-query padding contract: an empty ball is seeded with
- * the centroid itself (max over the pad is idempotent, and the centroid
- * is the natural degenerate neighborhood), then the entry is padded to
- * exactly @p maxK by repeating its nearest member. Every ballTable
- * implementation must pad through this helper so the cross-backend
- * parity contract stays in one place.
+ * The ball-query padding rule, the one copy every table fill uses:
+ * row[0..count) holds the in-ball neighbors, nearest first. An empty
+ * ball is seeded with the centroid itself (max over the pad is
+ * idempotent, and the centroid is the natural degenerate
+ * neighborhood), then the nearest member repeats until the row holds
+ * exactly @p k indices.
  */
 inline void
-padBallEntry(NitEntry &entry, int32_t maxK)
+padBallRow(int32_t *row, int32_t count, int32_t k, int32_t centroid)
 {
-    if (entry.neighbors.empty())
-        entry.neighbors.push_back(entry.centroid);
-    while (static_cast<int32_t>(entry.neighbors.size()) < maxK)
-        entry.neighbors.push_back(entry.neighbors.front());
+    if (count == 0)
+        row[count++] = centroid;
+    for (; count < k; ++count)
+        row[count] = row[0];
 }
 
 /**

@@ -1,7 +1,6 @@
 #include "neighbor/search_backend.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <mutex>
 
@@ -39,242 +38,101 @@ backendFromName(const std::string &name)
     MESO_REQUIRE(false, "unknown search backend '" << name << "'");
 }
 
+// ---------------------------------------------------------------------
+// Written once over knnInto/radiusInto: allocating queries and the
+// table fill, whose per-centroid queries fan out across the pool.
+// ---------------------------------------------------------------------
+
+std::vector<int32_t>
+SearchBackend::knn(const float *query, int32_t k) const
+{
+    MESO_REQUIRE(k > 0 && k <= points_.size(),
+                 "k=" << k << " with " << points_.size() << " points");
+    std::vector<int32_t> out(static_cast<size_t>(k));
+    knnInto(query, k, out.data());
+    return out;
+}
+
+std::vector<int32_t>
+SearchBackend::radius(const float *query, float r, int32_t maxK) const
+{
+    int32_t cap = maxK > 0 ? maxK : std::max(1, points_.size());
+    std::vector<int32_t> out(static_cast<size_t>(cap));
+    out.resize(static_cast<size_t>(radiusInto(query, r, cap, out.data())));
+    return out;
+}
+
 void
-SearchBackend::knnInto(const float *query, int32_t k, int32_t *out) const
+SearchBackend::fillTable(const int32_t *queries, int32_t numQueries,
+                         int32_t k, float radius, int32_t *out) const
 {
-    std::vector<int32_t> nn = knn(query, k);
-    std::copy(nn.begin(), nn.end(), out);
+    bool knnQuery = !(radius > 0.0f);
+    MESO_REQUIRE(k > 0 && (!knnQuery || k <= points_.size()),
+                 "k=" << k << " with " << points_.size() << " points");
+    for (int32_t i = 0; i < numQueries; ++i)
+        MESO_REQUIRE(queries[i] >= 0 && queries[i] < points_.size(),
+                     "query " << queries[i]);
+
+    ThreadPool::global().parallelFor(
+        numQueries, /*grain=*/4, [&](int64_t begin, int64_t end) {
+            for (int64_t i = begin; i < end; ++i) {
+                int32_t q = queries[i];
+                int32_t *row = out + i * k;
+                if (knnQuery) {
+                    knnInto(points_.row(q), k, row);
+                } else {
+                    // A ball over the indexed set always contains its
+                    // own center, but feature-space or custom backends
+                    // may legitimately return nothing; the padding rule
+                    // keeps every row full either way.
+                    int32_t count = radiusInto(points_.row(q), radius, k,
+                                               row);
+                    padBallRow(row, count, k, q);
+                }
+            }
+        });
 }
 
-int32_t
-SearchBackend::radiusInto(const float *query, float r, int32_t maxK,
-                          int32_t *out) const
+namespace {
+
+/** Wrap k-wide flat rows into a NeighborIndexTable. */
+NeighborIndexTable
+tableFromRows(const std::vector<int32_t> &queries, int32_t k,
+              const std::vector<int32_t> &rows)
 {
-    MESO_REQUIRE(maxK > 0, "radiusInto needs a positive maxK");
-    std::vector<int32_t> nn = radius(query, r, maxK);
-    std::copy(nn.begin(), nn.end(), out);
-    return static_cast<int32_t>(nn.size());
+    NeighborIndexTable nit(k);
+    for (size_t i = 0; i < queries.size(); ++i) {
+        const int32_t *row = rows.data() + i * static_cast<size_t>(k);
+        nit.add({queries[i], std::vector<int32_t>(row, row + k)});
+    }
+    return nit;
 }
 
-// ---------------------------------------------------------------------
-// Shared table builders: per-centroid queries fan out across the pool.
-// ---------------------------------------------------------------------
+} // namespace
 
 NeighborIndexTable
 SearchBackend::knnTable(const std::vector<int32_t> &queries,
                         int32_t k) const
 {
-    MESO_REQUIRE(k > 0 && k <= points_.size(),
-                 "k=" << k << " with " << points_.size() << " points");
-    for (int32_t q : queries)
-        MESO_REQUIRE(q >= 0 && q < points_.size(), "query " << q);
-
-    std::vector<NitEntry> entries(queries.size());
-    ThreadPool::global().parallelFor(
-        static_cast<int64_t>(queries.size()), /*grain=*/4,
-        [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-                entries[i].centroid = queries[i];
-                entries[i].neighbors = knn(points_.row(queries[i]), k);
-            }
-        });
-
-    NeighborIndexTable nit(k);
-    for (auto &e : entries)
-        nit.add(std::move(e));
-    return nit;
+    MESO_REQUIRE(k > 0, "k=" << k);
+    std::vector<int32_t> rows(queries.size() * static_cast<size_t>(k));
+    fillTable(queries.data(), static_cast<int32_t>(queries.size()), k,
+              /*radius=*/0.0f, rows.data());
+    return tableFromRows(queries, k, rows);
 }
 
 NeighborIndexTable
 SearchBackend::ballTable(const std::vector<int32_t> &queries, float r,
-                         int32_t maxK, bool padToMaxK) const
+                         int32_t maxK) const
 {
     MESO_REQUIRE(r > 0.0f && maxK > 0, "radius=" << r << " maxK=" << maxK);
-    for (int32_t q : queries)
-        MESO_REQUIRE(q >= 0 && q < points_.size(), "query " << q);
-
-    std::vector<NitEntry> entries(queries.size());
-    ThreadPool::global().parallelFor(
-        static_cast<int64_t>(queries.size()), /*grain=*/4,
-        [&](int64_t begin, int64_t end) {
-            for (int64_t i = begin; i < end; ++i) {
-                NitEntry &e = entries[i];
-                e.centroid = queries[i];
-                e.neighbors = radius(points_.row(queries[i]), r, maxK);
-                // A ball query over the indexed set always contains
-                // its own center, but feature-space or custom backends
-                // may legitimately return nothing — padBallEntry seeds
-                // the padding with the centroid itself so consumers
-                // (executor group loops, the AU's non-empty-entry
-                // invariant) never see an empty or underfull entry.
-                if (padToMaxK)
-                    padBallEntry(e, maxK);
-            }
-        });
-
-    NeighborIndexTable nit(maxK);
-    for (auto &e : entries)
-        nit.add(std::move(e));
-    return nit;
+    std::vector<int32_t> rows(queries.size() * static_cast<size_t>(maxK));
+    fillTable(queries.data(), static_cast<int32_t>(queries.size()), maxK,
+              r, rows.data());
+    return tableFromRows(queries, maxK, rows);
 }
 
-// ---------------------------------------------------------------------
-// Concrete backends
-// ---------------------------------------------------------------------
-
 namespace {
-
-class BruteForceBackend final : public SearchBackend
-{
-  public:
-    explicit BruteForceBackend(const PointsView &points)
-        : SearchBackend(points)
-    {
-    }
-
-    const char *name() const override { return "brute_force"; }
-
-    std::vector<int32_t>
-    knn(const float *query, int32_t k) const override
-    {
-        return knnScan(points_, query, k);
-    }
-
-    std::vector<int32_t>
-    radius(const float *query, float r, int32_t maxK) const override
-    {
-        return radiusScan(points_, query, r, maxK);
-    }
-
-    void
-    knnInto(const float *query, int32_t k, int32_t *out) const override
-    {
-        knnScanInto(points_, query, k, out);
-    }
-
-    int32_t
-    radiusInto(const float *query, float r, int32_t maxK,
-               int32_t *out) const override
-    {
-        return radiusScanInto(points_, query, r, maxK, out);
-    }
-};
-
-class KdTreeBackend final : public SearchBackend
-{
-  public:
-    explicit KdTreeBackend(const PointsView &points)
-        : SearchBackend(points), tree_(points)
-    {
-    }
-
-    const char *name() const override { return "kdtree"; }
-
-    std::vector<int32_t>
-    knn(const float *query, int32_t k) const override
-    {
-        return tree_.knn(query, k);
-    }
-
-    std::vector<int32_t>
-    radius(const float *query, float r, int32_t maxK) const override
-    {
-        return tree_.radius(query, r, maxK);
-    }
-
-    void
-    knnInto(const float *query, int32_t k, int32_t *out) const override
-    {
-        tree_.knnInto(query, k, out);
-    }
-
-    int32_t
-    radiusInto(const float *query, float r, int32_t maxK,
-               int32_t *out) const override
-    {
-        return tree_.radiusInto(query, r, maxK, out);
-    }
-
-  private:
-    KdTree tree_;
-};
-
-class GridBackend final : public SearchBackend
-{
-  public:
-    GridBackend(const PointsView &points, const SearchHints &hints)
-        : SearchBackend(points), grid_(makeGrid(points, hints))
-    {
-    }
-
-    const char *name() const override { return "grid"; }
-
-    std::vector<int32_t>
-    knn(const float *query, int32_t k) const override
-    {
-        return grid_.knn(query, k);
-    }
-
-    std::vector<int32_t>
-    radius(const float *query, float r, int32_t maxK) const override
-    {
-        return grid_.radius(query, r, maxK);
-    }
-
-    void
-    knnInto(const float *query, int32_t k, int32_t *out) const override
-    {
-        grid_.knnInto(query, k, out);
-    }
-
-    int32_t
-    radiusInto(const float *query, float r, int32_t maxK,
-               int32_t *out) const override
-    {
-        return grid_.radiusInto(query, r, maxK, out);
-    }
-
-  private:
-    /** One bounding-box pass serves both the cell-size heuristic and
-     *  the grid origin. Ball workloads get cell size == radius; k-NN
-     *  workloads size the cell so one cell holds roughly the expected
-     *  group. */
-    static GridIndex
-    makeGrid(const PointsView &points, const SearchHints &hints)
-    {
-        MESO_REQUIRE(points.dim() == 3,
-                     "grid backend is 3-D only, got dim "
-                         << points.dim());
-        MESO_REQUIRE(points.size() > 0, "cannot index an empty view");
-        float lo[3], hi[3];
-        const float *p0 = points.row(0);
-        for (int32_t d = 0; d < 3; ++d)
-            lo[d] = hi[d] = p0[d];
-        for (int32_t i = 1; i < points.size(); ++i) {
-            const float *p = points.row(i);
-            for (int32_t d = 0; d < 3; ++d) {
-                lo[d] = std::min(lo[d], p[d]);
-                hi[d] = std::max(hi[d], p[d]);
-            }
-        }
-        float cell;
-        if (hints.radius > 0.0f) {
-            cell = hints.radius;
-        } else {
-            float volume = 1.0f;
-            for (int32_t d = 0; d < 3; ++d)
-                volume *= std::max(hi[d] - lo[d], 1e-3f);
-            float k = static_cast<float>(hints.k > 0 ? hints.k : 16);
-            cell = std::max(
-                std::cbrt(volume * k /
-                          static_cast<float>(points.size())),
-                1e-4f);
-        }
-        return GridIndex(points, cell, lo);
-    }
-
-    GridIndex grid_;
-};
 
 // --- Registry ---------------------------------------------------------
 
@@ -293,17 +151,17 @@ registry()
         r.factories["brute_force"] = [](const PointsView &p,
                                         const SearchHints &) {
             return std::unique_ptr<SearchBackend>(
-                std::make_unique<BruteForceBackend>(p));
+                std::make_unique<BruteForce>(p));
         };
         r.factories["kdtree"] = [](const PointsView &p,
                                    const SearchHints &) {
             return std::unique_ptr<SearchBackend>(
-                std::make_unique<KdTreeBackend>(p));
+                std::make_unique<KdTree>(p));
         };
         r.factories["grid"] = [](const PointsView &p,
                                  const SearchHints &h) {
             return std::unique_ptr<SearchBackend>(
-                std::make_unique<GridBackend>(p, h));
+                std::make_unique<GridIndex>(p, h));
         };
     });
     return r;

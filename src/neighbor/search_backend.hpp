@@ -10,16 +10,25 @@
  * sorted by (distance, index) so results are identical across backends
  * — ties broken by index — and bitwise reproducible.
  *
- * Three backends ship by default:
- *  - brute_force: exhaustive O(N) per query; fastest for small clouds
- *    and the only sensible choice in high-dimensional feature spaces.
- *  - grid:        uniform hash-grid, 3-D only; near-constant-time ball
- *    queries on LiDAR-scale clouds, expanding-shell exact k-NN.
- *  - kdtree:      median-split KD-tree; the general fast path.
+ * A backend implements one query path: knnInto and radiusInto, which
+ * write into caller-owned memory. Everything else — the allocating
+ * knn/radius, the flat-row table fill the compiled engine runs, and
+ * the NeighborIndexTable builders — is written once here over those
+ * two calls. Three backends ship by default, each a SearchBackend
+ * itself:
+ *  - brute_force (BruteForce, brute_force.hpp): exhaustive O(N) scan
+ *    per query; the reference the others are tested against, fastest
+ *    for small clouds and the only sensible choice in high-dimensional
+ *    feature spaces.
+ *  - grid (GridIndex, grid.hpp): CSR uniform grid, 3-D only;
+ *    near-constant-time ball queries on LiDAR-scale clouds,
+ *    expanding-shell exact k-NN.
+ *  - kdtree (KdTree, kdtree.hpp): median-split KD-tree; the general
+ *    fast path.
  *
  * Backends are registered by name in a small factory (the pattern of a
  * compiler target registry), and Backend::Auto picks one per module from
- * the query shape (N, k, radius, dimensionality). Table construction is
+ * the query shape (N, k, radius, dimensionality). Table fills are
  * parallelized over queries via the shared thread pool.
  */
 #pragma once
@@ -62,8 +71,8 @@ struct SearchHints
 
 /**
  * Abstract search structure over one point set. The view must outlive
- * the backend. Queries are const and thread-safe; the table builders
- * fan the per-centroid queries out across the global thread pool.
+ * the backend. Queries are const and thread-safe; the table fills fan
+ * the per-centroid queries out across the global thread pool.
  */
 class SearchBackend
 {
@@ -73,44 +82,51 @@ class SearchBackend
     /** Registry name of the concrete backend. */
     virtual const char *name() const = 0;
 
-    /** k nearest neighbors of the external point @p query (dim floats),
-     *  sorted by (distance, index). */
-    virtual std::vector<int32_t> knn(const float *query,
-                                     int32_t k) const = 0;
-
-    /** All points within @p radius of @p query, sorted by (distance,
-     *  index), truncated to @p maxK if maxK > 0. */
-    virtual std::vector<int32_t> radius(const float *query, float radius,
-                                        int32_t maxK = -1) const = 0;
-
     /**
-     * knn into caller-owned memory: writes exactly k indices to
-     * out[0..k). Identical results to knn(). The base implementation
-     * delegates to knn() (and allocates); the shipped backends override
-     * it with grow-only per-thread scratch so compiled-plan serving
-     * loops stay allocation-free in steady state.
+     * k nearest neighbors of the external point @p query (dim floats),
+     * sorted by (distance, index): writes exactly k indices to
+     * out[0..k). Requires 0 < k <= points().size(). Implementations
+     * keep their scratch in grow-only per-thread storage, so the
+     * compiled engine's steady state never allocates.
      */
     virtual void knnInto(const float *query, int32_t k,
-                         int32_t *out) const;
+                         int32_t *out) const = 0;
 
-    /** radius into caller-owned memory (@p maxK must be positive):
-     *  writes up to maxK indices to @p out, returns the count. Same
-     *  override contract as knnInto. */
+    /** All points within @p radius of @p query, sorted by (distance,
+     *  index) and truncated to @p maxK (must be positive): writes them
+     *  to @p out and returns the count. Same scratch contract as
+     *  knnInto. */
     virtual int32_t radiusInto(const float *query, float radius,
-                               int32_t maxK, int32_t *out) const;
+                               int32_t maxK, int32_t *out) const = 0;
 
-    /** Build a NIT by running knn for each query index. */
+    /** knnInto into a fresh vector. */
+    std::vector<int32_t> knn(const float *query, int32_t k) const;
+
+    /** radiusInto into a fresh vector; maxK <= 0 keeps every point in
+     *  the ball (bounded by points().size()). */
+    std::vector<int32_t> radius(const float *query, float r,
+                                int32_t maxK = -1) const;
+
+    /**
+     * Flat-row table fill: row i of @p out (k indices at out + i*k)
+     * receives the neighbors of point queries[i]. With @p radius > 0
+     * each row is a ball query truncated to k and padded by padBallRow
+     * (nit.hpp); otherwise it is the k-NN row. Fans out over the
+     * global thread pool (grain 4) and allocates nothing beyond the
+     * backend's per-thread query scratch.
+     */
+    void fillTable(const int32_t *queries, int32_t numQueries, int32_t k,
+                   float radius, int32_t *out) const;
+
+    /** k-NN table over the query indices (fillTable wrapped in a
+     *  NeighborIndexTable). */
     NeighborIndexTable knnTable(const std::vector<int32_t> &queries,
                                 int32_t k) const;
 
-    /** Build a NIT by running a radius query for each query index;
-     *  pads to maxK by repeating the nearest member. An empty ball is
-     *  padded with the centroid itself (max over the pad is idempotent
-     *  and the centroid is the natural degenerate neighborhood), so
-     *  padded entries always have exactly maxK neighbors. */
+    /** Ball-query table over the query indices: every entry holds
+     *  exactly maxK neighbors, padded by padBallRow. */
     NeighborIndexTable ballTable(const std::vector<int32_t> &queries,
-                                 float radius, int32_t maxK,
-                                 bool padToMaxK = true) const;
+                                 float radius, int32_t maxK) const;
 
     const PointsView &points() const { return points_; }
 

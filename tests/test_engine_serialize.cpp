@@ -24,6 +24,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -396,6 +398,73 @@ TEST(EngineSerialize, RejectsVersionMismatch)
         EXPECT_NE(std::string(e.what()).find("not supported"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+/** Position in @p bytes of @p step's descriptor: a step's name is
+ *  followed by its descriptor, which opens with the op tag (1) and the
+ *  op number. */
+size_t
+descOffset(const std::vector<uint8_t> &bytes, const StepIR &step)
+{
+    std::vector<uint8_t> marker(step.name.begin(), step.name.end());
+    marker.push_back(1);
+    int32_t op = static_cast<int32_t>(step.desc.op);
+    const auto *opBytes = reinterpret_cast<const uint8_t *>(&op);
+    marker.insert(marker.end(), opBytes, opBytes + sizeof op);
+    auto at = std::search(bytes.begin(), bytes.end(), marker.begin(),
+                          marker.end());
+    EXPECT_NE(at, bytes.end()) << step.name;
+    return static_cast<size_t>(at - bytes.begin()) + step.name.size();
+}
+
+void
+expectCorrupt(const std::vector<uint8_t> &bytes, const std::string &what)
+{
+    try {
+        loadEngineFromBytes(bytes.data(), bytes.size());
+        FAIL() << "accepted an artifact with " << what;
+    } catch (const UsageError &e) {
+        EXPECT_EQ(e.code(), StatusCode::CorruptArtifact) << e.what();
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(EngineSerialize, RejectsRetiredOpAndNonPositiveBallRadius)
+{
+    // Op number 7 belonged to a retired row-copy op and has no bake. A
+    // ball search with radius <= 0 would be read as a k-NN fill (the
+    // table fill's radius 0 means k-NN). Both are corrupt at load.
+    NetworkExecutor exec(tinyNet(), 3);
+    CompiledEngine eng = PlanCompiler::compile(
+        exec, PipelineKind::Delayed, withPasses(PassOptions::Enable::On));
+    std::vector<uint8_t> bytes = saveEngineToBytes(eng);
+    const StepIR *search = nullptr;
+    for (const StepIR &s : eng.steps())
+        if (s.desc.op == OpKind::SearchNit)
+            search = &s;
+    ASSERT_NE(search, nullptr);
+    ASSERT_FALSE(search->desc.knn);
+    size_t at = descOffset(bytes, *search);
+    ASSERT_LT(at, bytes.size());
+
+    std::vector<uint8_t> retired = bytes;
+    int32_t seven = 7;
+    std::memcpy(retired.data() + at + 1, &seven, sizeof seven);
+    expectCorrupt(retired, "op 7 is not a valid kind");
+
+    // The radius is tag 19 followed by the f32 value.
+    std::vector<uint8_t> radius{19, 0, 0, 0, 0};
+    std::memcpy(radius.data() + 1, &search->desc.radius, sizeof(float));
+    auto r = std::search(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                         bytes.end(), radius.begin(), radius.end());
+    ASSERT_NE(r, bytes.end());
+    for (float bad : {0.0f, -search->desc.radius}) {
+        std::vector<uint8_t> patched = bytes;
+        std::memcpy(patched.data() + (r - bytes.begin()) + 1, &bad,
+                    sizeof bad);
+        expectCorrupt(patched, "ball radius");
     }
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for neighbor search: brute force reference, KD-tree and grid
- * equivalence (parameterized property sweeps), and the NIT structure.
+ * Tests for neighbor search: the brute_force reference backend, KD-tree
+ * and grid equivalence with it (parameterized property sweeps), and
+ * the NIT structure.
  */
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "geom/shapes.hpp"
-#include "neighbor/brute_force.hpp"
 #include "neighbor/grid.hpp"
 #include "neighbor/kdtree.hpp"
 #include "neighbor/nit.hpp"
@@ -70,12 +70,29 @@ TEST(Nit, RejectsOversizedEntry)
     EXPECT_THROW(nit.add({0, {1, 2, 3}}), mesorasi::UsageError);
 }
 
+TEST(Nit, PadBallRowSeedsEmptyAndRepeatsNearest)
+{
+    // The one ball-padding rule every table fill uses.
+    int32_t row[5] = {7, 3, -1, -1, -1};
+    padBallRow(row, 2, 5, 9);
+    EXPECT_EQ(std::vector<int32_t>(row, row + 5),
+              (std::vector<int32_t>{7, 3, 7, 7, 7}));
+    int32_t empty[3] = {-1, -1, -1};
+    padBallRow(empty, 0, 3, 9);
+    EXPECT_EQ(std::vector<int32_t>(empty, empty + 3),
+              (std::vector<int32_t>{9, 9, 9}));
+    int32_t full[2] = {4, 5};
+    padBallRow(full, 2, 2, 9);
+    EXPECT_EQ(full[0], 4);
+    EXPECT_EQ(full[1], 5);
+}
+
 TEST(BruteForce, KnnSelfIsFirstNeighbor)
 {
     Rng rng(1);
     auto data = randomRows(rng, 50, 3);
     PointsView v(data.data(), 50, 3);
-    auto nit = knnBruteForce(v, {10, 20}, 5);
+    auto nit = makeBackendByName("brute_force", v)->knnTable({10, 20}, 5);
     ASSERT_EQ(nit.size(), 2);
     // A point's nearest neighbor is itself (distance 0).
     EXPECT_EQ(nit[0].neighbors[0], 10);
@@ -87,7 +104,7 @@ TEST(BruteForce, KnnOrderedByDistance)
     Rng rng(2);
     auto data = randomRows(rng, 80, 3);
     PointsView v(data.data(), 80, 3);
-    auto nit = knnBruteForce(v, {0}, 10);
+    auto nit = makeBackendByName("brute_force", v)->knnTable({0}, 10);
     for (size_t j = 1; j < nit[0].neighbors.size(); ++j)
         EXPECT_LE(v.dist2(0, nit[0].neighbors[j - 1]),
                   v.dist2(0, nit[0].neighbors[j]));
@@ -99,7 +116,7 @@ TEST(BruteForce, BallRespectsRadiusAndPads)
     auto data = randomRows(rng, 100, 3);
     PointsView v(data.data(), 100, 3);
     float r = 0.4f;
-    auto nit = ballQueryBruteForce(v, {5}, r, 16);
+    auto nit = makeBackendByName("brute_force", v)->ballTable({5}, r, 16);
     ASSERT_EQ(nit.size(), 1);
     EXPECT_EQ(static_cast<int32_t>(nit[0].neighbors.size()), 16);
     std::set<int32_t> uniq;
@@ -115,8 +132,10 @@ TEST(BruteForce, BallNoPadWhenDisabled)
 {
     std::vector<float> data{0, 0, 0, 10, 0, 0};
     PointsView v(data.data(), 2, 3);
-    auto nit = ballQueryBruteForce(v, {0}, 1.0f, 8, false);
-    EXPECT_EQ(static_cast<int32_t>(nit[0].neighbors.size()), 1);
+    // A bare radius query is never padded; only the table fill pads.
+    auto ball = makeBackendByName("brute_force", v)->radius(v.row(0), 1.0f,
+                                                            8);
+    EXPECT_EQ(ball, std::vector<int32_t>{0});
 }
 
 // --- KD-tree vs brute force property sweep ---------------------------
@@ -144,7 +163,7 @@ TEST_P(KdTreeSweep, KnnMatchesBruteForce)
     for (int32_t q = 0; q < n; q += std::max(1, n / 17))
         queries.push_back(q);
 
-    auto ref = knnBruteForce(v, queries, k);
+    auto ref = makeBackendByName("brute_force", v)->knnTable(queries, k);
     auto got = tree->knnTable(queries, k);
     ASSERT_EQ(ref.size(), got.size());
     for (int32_t i = 0; i < ref.size(); ++i) {
@@ -195,7 +214,8 @@ TEST(KdTree, BallTablePadsLikeBruteForce)
     PointsView v(data.data(), 120, 3);
     auto tree = makeBackendByName("kdtree", v);
     auto a = tree->ballTable({3, 60}, 0.3f, 12);
-    auto b = ballQueryBruteForce(v, {3, 60}, 0.3f, 12);
+    auto b = makeBackendByName("brute_force", v)->ballTable({3, 60}, 0.3f,
+                                                            12);
     ASSERT_EQ(a.size(), b.size());
     for (int32_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i].neighbors.size(), b[i].neighbors.size());
@@ -217,18 +237,22 @@ TEST(Grid, RadiusMatchesBruteForce)
     Rng rng(9);
     geom::ShapeParams p{300, 0.0f, -1};
     geom::PointCloud cloud = geom::makeSphere(rng, p, {}, 1.0f);
-    UniformGrid grid(cloud, 0.3f);
-
     FlatPoints flat(cloud);
     PointsView v = flat.view();
     float radius = 0.3f;
+    SearchHints hints;
+    hints.radius = radius;
+    auto grid = makeBackendByName("grid", v, hints);
+    auto bf = makeBackendByName("brute_force", v);
     for (int32_t q = 0; q < 300; q += 37) {
-        auto got = grid.radius(q, radius);
+        auto got = grid->radius(v.row(q), radius);
         std::set<int32_t> expected;
         for (int32_t i = 0; i < 300; ++i)
             if (v.dist2(q, i) <= radius * radius)
                 expected.insert(i);
         EXPECT_EQ(std::set<int32_t>(got.begin(), got.end()), expected);
+        // Same members in the same (distance, index) order.
+        EXPECT_EQ(got, bf->radius(v.row(q), radius));
     }
 }
 
@@ -237,12 +261,14 @@ TEST(Grid, BallTableMatchesKdTree)
     Rng rng(10);
     geom::ShapeParams p{200, 0.0f, -1};
     geom::PointCloud cloud = geom::makeTorus(rng, p, {}, 0.7f, 0.2f);
-    UniformGrid grid(cloud, 0.25f);
     FlatPoints flat(cloud);
+    SearchHints hints;
+    hints.radius = 0.25f;
+    auto grid = makeBackendByName("grid", flat.view(), hints);
     auto tree = makeBackendByName("kdtree", flat.view());
 
     std::vector<int32_t> queries{0, 50, 100, 150, 199};
-    auto a = grid.ballTable(queries, 0.25f, 8);
+    auto a = grid->ballTable(queries, 0.25f, 8);
     auto b = tree->ballTable(queries, 0.25f, 8);
     ASSERT_EQ(a.size(), b.size());
     for (int32_t i = 0; i < a.size(); ++i) {
@@ -257,7 +283,11 @@ TEST(Grid, CellCountReasonable)
     Rng rng(11);
     geom::ShapeParams p{500, 0.0f, -1};
     geom::PointCloud cloud = geom::makeBox(rng, p);
-    UniformGrid grid(cloud, 0.2f);
+    FlatPoints flat(cloud);
+    SearchHints hints;
+    hints.radius = 0.2f;
+    GridIndex grid(flat.view(), hints);
+    EXPECT_FLOAT_EQ(grid.cellSize(), 0.2f);
     EXPECT_GT(grid.numCells(), 10u);
     EXPECT_LE(grid.numCells(), 500u);
 }

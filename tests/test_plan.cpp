@@ -715,13 +715,6 @@ TEST(PlanCompiler, CostModelResolution)
                                                 feat, true),
               std::numeric_limits<double>::infinity());
 
-    // The non-cost-model fallback replays chooseBackend on the shape.
-    CompileOptions heur;
-    heur.costModelBackendSelection = false;
-    EXPECT_EQ(PlanCompiler::resolveAutoBackend(ball, /*knn=*/false, heur),
-              neighbor::Backend::Grid);
-    EXPECT_EQ(PlanCompiler::resolveAutoBackend(feat, /*knn=*/true, heur),
-              neighbor::Backend::BruteForce);
 }
 
 // --- Workspace ownership guard ----------------------------------------

@@ -20,9 +20,9 @@
  *  5. The numerics-changing pass gate (changesNumerics() => skipped
  *     without the explicit opt-in).
  *  6. Satellites: sampler/search DCE liveness (a dead search branch is
- *     actually eliminated), copyRowsInto padding contract, BatchRunner
- *     worker clamping, strided PointsView / dist2Batch parity over
- *     padded rows, CompiledEngine::dump content.
+ *     actually eliminated), BatchRunner worker clamping, strided
+ *     PointsView / dist2Batch parity over padded rows,
+ *     CompiledEngine::dump content.
  *
  * Every compile here pins PassOptions::Enable to On or Off explicitly,
  * so the suite is green regardless of the MESORASI_PLAN_PASSES
@@ -660,27 +660,6 @@ TEST(NumericsGate, ChangingPassSkippedWithoutOptIn)
 }
 
 // --- Satellite kernels and runtime ------------------------------------
-
-TEST(CopyRowsInto, LeavesDestinationPaddingUntouched)
-{
-    constexpr int64_t kRows = 4;
-    constexpr int32_t kCols = 5;
-    constexpr int64_t kSrcLd = 5, kDstLd = 8;
-    std::vector<float> src(kRows * kSrcLd);
-    for (size_t i = 0; i < src.size(); ++i)
-        src[i] = static_cast<float>(i) * 0.5f - 3.0f;
-    std::vector<float> dst(kRows * kDstLd, -7.0f);
-
-    tensor::copyRowsInto(dst.data(), kDstLd, src.data(), kSrcLd, kRows,
-                         kCols);
-    for (int64_t r = 0; r < kRows; ++r) {
-        for (int32_t c = 0; c < kCols; ++c)
-            EXPECT_EQ(dst[static_cast<size_t>(r * kDstLd + c)],
-                      src[static_cast<size_t>(r * kSrcLd + c)]);
-        for (int64_t c = kCols; c < kDstLd; ++c)
-            EXPECT_EQ(dst[static_cast<size_t>(r * kDstLd + c)], -7.0f);
-    }
-}
 
 TEST(BatchRunnerClamp, OversizedRequestClampsToHardware)
 {

@@ -8,9 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -118,13 +121,14 @@ TEST(BackendParity, UnpaddedBallKeepsShortGroups)
     PointsView v(data.data(), 120, 3);
     std::vector<int32_t> queries{0, 17, 60, 119};
     for (const std::string &name : applicableBackends(3)) {
-        auto nit = makeBackendByName(name, v)->ballTable(
-            queries, 0.05f, 8, /*padToMaxK=*/false);
-        for (int32_t i = 0; i < nit.size(); ++i) {
+        auto backend = makeBackendByName(name, v);
+        for (int32_t q : queries) {
             // Tight radius: groups may hold fewer than maxK members but
             // always include the centroid itself.
-            EXPECT_GE(nit[i].neighbors.size(), 1u) << name;
-            EXPECT_EQ(nit[i].neighbors[0], queries[i]) << name;
+            auto ball = backend->radius(v.row(q), 0.05f, 8);
+            EXPECT_GE(ball.size(), 1u) << name;
+            EXPECT_LE(ball.size(), 8u) << name;
+            EXPECT_EQ(ball[0], q) << name;
         }
     }
 }
@@ -162,15 +166,15 @@ TEST(BackendParity, EmptyBallsPadWithCentroid)
       public:
         explicit EmptyBackend(const PointsView &p) : SearchBackend(p) {}
         const char *name() const override { return "empty"; }
-        std::vector<int32_t>
-        knn(const float *, int32_t) const override
+        void
+        knnInto(const float *, int32_t k, int32_t *out) const override
         {
-            return {};
+            std::fill(out, out + k, 0);
         }
-        std::vector<int32_t>
-        radius(const float *, float, int32_t) const override
+        int32_t
+        radiusInto(const float *, float, int32_t, int32_t *) const override
         {
-            return {};
+            return 0;
         }
     };
 
@@ -231,6 +235,89 @@ TEST(BackendRegistry, CustomBackendIsConstructible)
     EXPECT_STREQ(backend->name(), "brute_force");
     auto nit = backend->knnTable({0, 5}, 3);
     EXPECT_EQ(nit.size(), 2);
+}
+
+TEST(BackendRegistry, IntoOnlyBackendServesEveryQuery)
+{
+    // A registered backend implements only knnInto/radiusInto (here a
+    // plain per-point scan, independent of the shipped backends); the
+    // allocating queries and both table builders come from the base
+    // class and must agree with brute_force exactly.
+    class ScanBackend final : public SearchBackend
+    {
+      public:
+        explicit ScanBackend(const PointsView &p) : SearchBackend(p) {}
+        const char *name() const override { return "scan"; }
+        void
+        knnInto(const float *q, int32_t k, int32_t *out) const override
+        {
+            auto ranked = rank(q, std::numeric_limits<float>::infinity());
+            for (int32_t j = 0; j < k; ++j)
+                out[j] = ranked[static_cast<size_t>(j)].second;
+        }
+        int32_t
+        radiusInto(const float *q, float r, int32_t maxK,
+                   int32_t *out) const override
+        {
+            auto ranked = rank(q, r * r);
+            int32_t count = std::min<int32_t>(
+                maxK, static_cast<int32_t>(ranked.size()));
+            for (int32_t j = 0; j < count; ++j)
+                out[j] = ranked[static_cast<size_t>(j)].second;
+            return count;
+        }
+
+      private:
+        std::vector<std::pair<float, int32_t>>
+        rank(const float *q, float maxD2) const
+        {
+            std::vector<std::pair<float, int32_t>> ranked;
+            for (int32_t i = 0; i < points_.size(); ++i) {
+                float d2 = points_.dist2To(i, q);
+                if (d2 <= maxD2)
+                    ranked.push_back({d2, i});
+            }
+            std::sort(ranked.begin(), ranked.end());
+            return ranked;
+        }
+    };
+    registerSearchBackend("into_only",
+                          [](const PointsView &p, const SearchHints &) {
+                              return std::unique_ptr<SearchBackend>(
+                                  std::make_unique<ScanBackend>(p));
+                          });
+
+    Rng rng(12);
+    auto data = randomRows(rng, 90, 3);
+    PointsView v(data.data(), 90, 3);
+    auto custom = makeBackendByName("into_only", v);
+    auto ref = makeBackendByName("brute_force", v);
+    EXPECT_STREQ(custom->name(), "scan");
+    std::vector<int32_t> queries = someQueries(90);
+    for (int32_t q : queries) {
+        EXPECT_EQ(custom->knn(v.row(q), 7), ref->knn(v.row(q), 7));
+        EXPECT_EQ(custom->radius(v.row(q), 0.5f),
+                  ref->radius(v.row(q), 0.5f));
+        EXPECT_EQ(custom->radius(v.row(q), 0.5f, 4),
+                  ref->radius(v.row(q), 0.5f, 4));
+    }
+    // Unbounded radius: every point, bounded by points().size().
+    EXPECT_EQ(custom->radius(v.row(0), 100.0f).size(), 90u);
+
+    auto gotKnn = custom->knnTable(queries, 7);
+    auto refKnn = ref->knnTable(queries, 7);
+    // 0.1 leaves some balls underfull, so the padding rule runs too.
+    auto gotBall = custom->ballTable(queries, 0.1f, 6);
+    auto refBall = ref->ballTable(queries, 0.1f, 6);
+    ASSERT_EQ(gotKnn.size(), refKnn.size());
+    ASSERT_EQ(gotBall.size(), refBall.size());
+    for (int32_t i = 0; i < gotKnn.size(); ++i) {
+        EXPECT_EQ(gotKnn[i].centroid, queries[static_cast<size_t>(i)]);
+        EXPECT_EQ(gotKnn[i].neighbors, refKnn[i].neighbors);
+        EXPECT_EQ(gotBall[i].centroid, refBall[i].centroid);
+        EXPECT_EQ(gotBall[i].neighbors, refBall[i].neighbors);
+        EXPECT_EQ(gotBall[i].neighbors.size(), 6u);
+    }
 }
 
 TEST(AutoPolicy, PicksSensibleBackends)
